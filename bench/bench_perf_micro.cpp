@@ -825,6 +825,10 @@ class SeedKdTree {
   int root_ = -1;
 };
 
+// Multiplier on the collective diameter for the type lift (the paper's "a
+// magnitude larger than the diameter").
+constexpr double kTypeLiftScale = 10.0;
+
 // Flat 3-D array of type-lifted points: (x, y, type · lift).
 std::vector<double> lift(std::span<const geom::Vec2> points,
                          std::span<const sim::TypeId> types, double lift_scale) {
@@ -894,7 +898,7 @@ align::IcpResult align_icp(std::span<const geom::Vec2> source,
   const double diameter =
       std::max({geom::bounding_box(target).diagonal(),
                 geom::bounding_box(source).diagonal(), 1.0});
-  const double lift_scale = options.type_lift_scale * diameter;
+  const double lift_scale = kTypeLiftScale * diameter;
 
   const std::vector<double> lifted_target =
       lift(target, target_types, lift_scale);

@@ -1,8 +1,10 @@
 #include "align/ensemble.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "cluster/kmeans.hpp"
+#include "support/executor.hpp"
 #include "support/parallel_for.hpp"
 
 namespace sops::align {
@@ -37,12 +39,36 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
     }
   };
   write_row(0, reference);
+  if (m == 1) return out;
 
-  const auto align_sample = [&](std::size_t s) {
+  support::SpawnExecutor transient(options.threads);
+  support::Executor& executor =
+      options.executor != nullptr ? *options.executor : transient;
+
+  // Every (row, restart) descent is one task of a single batch, so the
+  // runners stay busy until the last descent of the frame; the reference
+  // is indexed once for all of them. Each task writes its own slot and
+  // centres its own copy of the row, so nothing a task allocates outlives
+  // it.
+  const std::size_t restarts = options.icp.rotation_restarts;
+  std::vector<IcpResult> fits;
+  if (options.rotations) {
+    support::expect(restarts >= 1, "align_icp: need at least one restart");
+    const IcpTarget target(reference, types);
+    fits.resize((m - 1) * restarts);
+    auto descend = [&](std::size_t task) {
+      const std::size_t s = 1 + task / restarts;
+      fits[task] = icp_restart(geom::centered(configs[s]), types, target,
+                               task % restarts, options.icp);
+    };
+    executor.run(fits.size(), descend);
+  }
+
+  const auto finish_row = [&](std::size_t s) {
     std::vector<geom::Vec2> moved = geom::centered(configs[s]);
     if (options.rotations) {
-      const IcpResult icp =
-          align_icp(moved, types, reference, types, options.icp);
+      const IcpResult icp = best_restart(
+          std::span(fits).subspan((s - 1) * restarts, restarts));
       moved = icp.transform.apply(moved);
       // The fitted transform may reintroduce a tiny translation; shape
       // space demands exact centroid-centering, so re-center.
@@ -59,11 +85,7 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
     }
     write_row(s, moved);
   };
-  if (options.executor != nullptr) {
-    support::parallel_for(*options.executor, 1, m, align_sample);
-  } else {
-    support::parallel_for(1, m, align_sample, options.threads);
-  }
+  support::parallel_for(executor, 1, m, finish_row);
 
   return out;
 }

@@ -5,7 +5,8 @@
 // coordinates w⁽ᵗ⁾, with one 2-wide observer block per particle:
 //
 //   1. each sample is centered on its centroid          (translations)
-//   2. each sample is ICP-aligned to a reference sample (rotations)
+//   2. each sample is ICP-aligned to a reference sample (rotations); the
+//      reference is indexed once per call (IcpTarget) for every descent
 //   3. particles are reordered by the same-type NN correspondence to the
 //      reference                                        (permutations S*_n)
 //
@@ -52,11 +53,12 @@ struct AlignedEnsemble {
 struct EnsembleOptions {
   IcpOptions icp{};
   std::size_t threads = 0;
-  /// When set, the per-sample alignment loop dispatches on this executor (a
-  /// persistent pool slice the caller reuses across frames) and `threads`
-  /// is ignored; when null, a transient fork/join of `threads` workers runs
-  /// per call. Never affects results: every sample's alignment is
-  /// independent and writes its own row.
+  /// When set, the alignment dispatches on this executor (a persistent pool
+  /// slice the caller reuses across frames) and `threads` is ignored; when
+  /// null, a transient fork/join of `threads` workers runs per call. The
+  /// ICP descents run as one batch of (sample, restart) tasks, then each
+  /// sample picks its best restart in restart order. Never affects results:
+  /// every task is independent and writes its own slot.
   support::Executor* executor = nullptr;
   /// Skip the ICP rotation (still centers and permutes). Used by ablations
   /// to show the effect of factoring rotations out.

@@ -12,48 +12,21 @@
 namespace sops::align {
 namespace {
 
-// Correspondence search structure: one 2-D kd-tree per particle type.
-//
-// The paper's type-lifted 3-D metric (x, y, type · lift) exists to make NN
-// correspondences type-preserving — the lift is chosen so a cross-type
-// candidate can never beat a same-type one. Querying the matching type's
-// 2-D tree computes the same correspondence directly (for same-type pairs
-// the lifted distance *is* the planar distance: the type axis contributes
-// exactly 0.0), skips every wrong-type candidate the lifted tree still has
-// to wade through near type-boundary splits, and drops a third of the
-// per-point distance arithmetic.
-struct TypedTargetTrees {
-  std::vector<std::vector<double>> coords;       // per type: flat (x, y)
-  std::vector<std::vector<std::uint32_t>> index; // per type: global target idx
-  std::vector<geom::KdTree> trees;               // per type, over coords
+// Certificate margin on distances: the candidate must be nearer than both
+// lower bounds by 10%, which also swamps the round-off of the computed
+// distances (a few ulps). kRoundOff covers the cancellation in R − d(q, p)
+// when the two are close, and kMinRadius (below which a particle keeps no
+// warm start) keeps R − d(q, p) far above the subnormal range, where
+// squared distances lose their relative precision.
+constexpr double kMargin = 1.1;
+constexpr double kRoundOff = 1e-12;
+constexpr double kMinRadius = 1e-100;
 
-  TypedTargetTrees(std::span<const geom::Vec2> target,
-                   std::span<const sim::TypeId> target_types) {
-    sim::TypeId max_type = 0;
-    for (const sim::TypeId t : target_types) max_type = std::max(max_type, t);
-    const std::size_t types = static_cast<std::size_t>(max_type) + 1;
-    coords.resize(types);
-    index.resize(types);
-    for (std::size_t i = 0; i < target.size(); ++i) {
-      const auto type = static_cast<std::size_t>(target_types[i]);
-      coords[type].push_back(target[i].x);
-      coords[type].push_back(target[i].y);
-      index[type].push_back(static_cast<std::uint32_t>(i));
-    }
-    trees.reserve(types);
-    for (std::size_t type = 0; type < types; ++type) {
-      trees.emplace_back(coords[type], 2);
-    }
-  }
-
-  // Global index of the target nearest to `p` among type `type`.
-  [[nodiscard]] std::size_t nearest(geom::Vec2 p, sim::TypeId type) const {
-    const double query[2] = {p.x, p.y};
-    const geom::Neighbor nn =
-        trees[static_cast<std::size_t>(type)].nearest({query, 2});
-    return index[static_cast<std::size_t>(type)][nn.index];
-  }
-};
+bool all_finite(std::span<const geom::Vec2> points) noexcept {
+  return std::all_of(points.begin(), points.end(), [](geom::Vec2 p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  });
+}
 
 void check_type_histograms(std::span<const sim::TypeId> a,
                            std::span<const sim::TypeId> b) {
@@ -65,13 +38,35 @@ void check_type_histograms(std::span<const sim::TypeId> a,
   support::expect(ha == hb, "align: type histograms differ");
 }
 
+// Every align_icp/icp_restart precondition, checked before any distance
+// arithmetic can meet a NaN.
+void check_icp_inputs(std::span<const geom::Vec2> source,
+                      std::span<const sim::TypeId> source_types,
+                      const IcpTarget& target, const IcpOptions& options) {
+  support::expect(!source.empty() && source.size() == source_types.size(),
+                  "align_icp: invalid inputs");
+  support::expect(source.size() == target.size(), "align_icp: size mismatch");
+  support::expect(options.max_iterations >= 1,
+                  "align_icp: need at least one iteration");
+  support::expect(options.rotation_restarts >= 1,
+                  "align_icp: need at least one restart");
+  support::expect(all_finite(source), "align_icp: non-finite source coordinate");
+  const std::span<const std::size_t> expected = target.type_counts();
+  std::vector<std::size_t> counts(expected.size(), 0);
+  for (const sim::TypeId t : source_types) {
+    support::expect(t < counts.size(), "align: type histograms differ");
+    ++counts[t];
+  }
+  support::expect(std::equal(counts.begin(), counts.end(), expected.begin()),
+                  "align: type histograms differ");
+}
+
 // One ICP descent from the given initial rotation (about the source
 // centroid). Returns the final transform and MSE.
 IcpResult icp_descent(std::span<const geom::Vec2> source,
                       std::span<const sim::TypeId> source_types,
-                      std::span<const geom::Vec2> target,
-                      const TypedTargetTrees& target_trees,
-                      double initial_angle, const IcpOptions& options) {
+                      const IcpTarget& target, double initial_angle,
+                      const IcpOptions& options) {
   const geom::Vec2 source_centroid = geom::centroid(source);
   geom::RigidTransform2 current{
       initial_angle,
@@ -80,21 +75,22 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
   IcpResult result;
   result.mean_squared_error = std::numeric_limits<double>::infinity();
 
-  std::vector<geom::Vec2> moved(source.size());
+  const std::span<const geom::Vec2> target_points = target.points();
+  std::vector<std::uint32_t> match(source.size());
   std::vector<geom::Vec2> matched(source.size());
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    for (std::size_t i = 0; i < source.size(); ++i) {
-      moved[i] = current.apply(source[i]);
-    }
 
-    // NN correspondences within each point's own type (type never crosses).
+    // NN correspondences within each point's own type (type never crosses);
+    // after the first iteration each query warm-starts from its last match.
     double mse = 0.0;
     for (std::size_t i = 0; i < source.size(); ++i) {
-      const std::size_t nn = target_trees.nearest(moved[i], source_types[i]);
-      matched[i] = target[nn];
-      mse += geom::dist_sq(moved[i], matched[i]);
+      const geom::Vec2 moved = current.apply(source[i]);
+      match[i] = iter == 0 ? target.nearest(moved, source_types[i])
+                           : target.nearest_from(moved, match[i]);
+      matched[i] = target_points[match[i]];
+      mse += geom::dist_sq(moved, matched[i]);
     }
     mse /= static_cast<double>(source.size());
 
@@ -113,30 +109,138 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
   return result;
 }
 
+double restart_angle(std::size_t restart, const IcpOptions& options) {
+  return 2.0 * std::numbers::pi * static_cast<double>(restart) /
+         static_cast<double>(options.rotation_restarts);
+}
+
 }  // namespace
+
+// Correspondence search: one 2-D kd-tree per particle type.
+//
+// The paper's type-lifted 3-D metric (x, y, type · lift) exists to make NN
+// correspondences type-preserving — the lift is chosen so a cross-type
+// candidate can never beat a same-type one. Querying the matching type's
+// 2-D tree computes the same correspondence directly (for same-type pairs
+// the lifted distance *is* the planar distance: the type axis contributes
+// exactly 0.0) and skips every wrong-type candidate.
+IcpTarget::IcpTarget(std::span<const geom::Vec2> points,
+                     std::span<const sim::TypeId> types)
+    : points_(points.begin(), points.end()),
+      types_(types.begin(), types.end()) {
+  support::expect(!points.empty() && points.size() == types.size(),
+                  "align_icp: invalid inputs");
+  support::expect(all_finite(points), "align_icp: non-finite target coordinate");
+  sim::TypeId max_type = 0;
+  for (const sim::TypeId t : types) max_type = std::max(max_type, t);
+  const std::size_t type_count = static_cast<std::size_t>(max_type) + 1;
+  type_counts_ = sim::type_histogram(types, type_count);
+  coords_.resize(type_count);
+  index_.resize(type_count);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    coords_[types[i]].push_back(points[i].x);
+    coords_[types[i]].push_back(points[i].y);
+    index_[types[i]].push_back(static_cast<std::uint32_t>(i));
+  }
+  trees_.reserve(type_count);
+  for (std::size_t type = 0; type < type_count; ++type) {
+    trees_.emplace_back(coords_[type], 2);
+  }
+
+  // A type that fits in one tree leaf is answered by a single leaf scan,
+  // which is cheaper than the candidate test; it keeps no warm start.
+  warm_.assign(points.size(), WarmStart{{}, -1.0});
+  for (std::size_t type = 0; type < type_count; ++type) {
+    const std::vector<std::uint32_t>& members = index_[type];
+    if (members.size() <= geom::KdTree::kLeafSize) continue;
+    for (std::size_t local = 0; local < members.size(); ++local) {
+      const std::vector<geom::Neighbor> nearest = trees_[type].k_nearest(
+          {coords_[type].data() + 2 * local, 2}, kNeighbors, local);
+      WarmStart& warm = warm_[members[local]];
+      for (std::size_t k = 0; k < kNeighbors; ++k) {
+        warm.neighbors[k] = members[nearest[k].index];
+      }
+      const double radius = std::sqrt(nearest.back().dist_sq);
+      if (radius >= kMinRadius) warm.radius = radius;
+    }
+  }
+}
+
+std::uint32_t IcpTarget::nearest(geom::Vec2 q, sim::TypeId type) const {
+  const double query[2] = {q.x, q.y};
+  const geom::Neighbor nn = trees_[type].nearest({query, 2});
+  return index_[type][nn.index];
+}
+
+std::uint32_t IcpTarget::nearest_from(geom::Vec2 q,
+                                      std::uint32_t previous) const {
+  const WarmStart& warm = warm_[previous];
+  if (warm.radius < 0.0) return nearest(q, types_[previous]);
+  const double previous_d2 = geom::dist_sq(q, points_[previous]);
+  std::uint32_t best = previous;
+  double best_d2 = previous_d2;
+  double runner_up_d2 = std::numeric_limits<double>::infinity();
+  for (const std::uint32_t candidate : warm.neighbors) {
+    const double d2 = geom::dist_sq(q, points_[candidate]);
+    if (d2 < best_d2) {
+      runner_up_d2 = best_d2;
+      best_d2 = d2;
+      best = candidate;
+    } else if (d2 < runner_up_d2) {
+      runner_up_d2 = d2;
+    }
+  }
+  if (best_d2 * (kMargin * kMargin) < runner_up_d2) {
+    const double best_d = std::sqrt(best_d2);
+    const double previous_d = std::sqrt(previous_d2);
+    if (kMargin * best_d <
+        warm.radius - previous_d - kRoundOff * (warm.radius + previous_d)) {
+      return best;
+    }
+  }
+  const sim::TypeId type = types_[previous];
+  const double query[2] = {q.x, q.y};
+  const geom::Neighbor nn = trees_[type].nearest({query, 2}, best_d2);
+  return index_[type][nn.index];
+}
+
+IcpResult align_icp(std::span<const geom::Vec2> source,
+                    std::span<const sim::TypeId> source_types,
+                    const IcpTarget& target, const IcpOptions& options) {
+  check_icp_inputs(source, source_types, target, options);
+  std::vector<IcpResult> restarts;
+  restarts.reserve(options.rotation_restarts);
+  for (std::size_t r = 0; r < options.rotation_restarts; ++r) {
+    restarts.push_back(icp_descent(source, source_types, target,
+                                   restart_angle(r, options), options));
+  }
+  return best_restart(restarts);
+}
 
 IcpResult align_icp(std::span<const geom::Vec2> source,
                     std::span<const sim::TypeId> source_types,
                     std::span<const geom::Vec2> target,
                     std::span<const sim::TypeId> target_types,
                     const IcpOptions& options) {
-  support::expect(!source.empty() && source.size() == source_types.size() &&
-                      target.size() == target_types.size(),
-                  "align_icp: invalid inputs");
-  support::expect(source.size() == target.size(), "align_icp: size mismatch");
-  support::expect(options.rotation_restarts >= 1,
-                  "align_icp: need at least one restart");
-  check_type_histograms(source_types, target_types);
+  return align_icp(source, source_types, IcpTarget(target, target_types),
+                   options);
+}
 
-  const TypedTargetTrees target_trees(target, target_types);
+IcpResult icp_restart(std::span<const geom::Vec2> source,
+                      std::span<const sim::TypeId> source_types,
+                      const IcpTarget& target, std::size_t restart,
+                      const IcpOptions& options) {
+  check_icp_inputs(source, source_types, target, options);
+  support::expect(restart < options.rotation_restarts,
+                  "icp_restart: restart out of range");
+  return icp_descent(source, source_types, target,
+                     restart_angle(restart, options), options);
+}
 
+IcpResult best_restart(std::span<const IcpResult> restarts) noexcept {
   IcpResult best;
   best.mean_squared_error = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < options.rotation_restarts; ++r) {
-    const double angle = 2.0 * std::numbers::pi * static_cast<double>(r) /
-                         static_cast<double>(options.rotation_restarts);
-    IcpResult candidate = icp_descent(source, source_types, target,
-                                      target_trees, angle, options);
+  for (const IcpResult& candidate : restarts) {
     if (candidate.mean_squared_error < best.mean_squared_error) {
       best = candidate;
     }

@@ -133,21 +133,44 @@ int KdTree::build(std::size_t begin, std::size_t end) {
 Neighbor KdTree::nearest(std::span<const double> query) const {
   support::expect(query.size() == dim_, "KdTree::nearest: wrong query dim");
   support::expect(count_ > 0, "KdTree::nearest: empty tree");
-  // The 3-D case is the ICP correspondence loop — hundreds of thousands of
-  // queries per alignment — and gets a compile-time-dim instantiation; the
-  // 2-D case serves per-type marginals. Same algorithm either way.
-  if (dim_ == 3) return nearest_fixed<3>(query.data());
-  if (dim_ == 2) return nearest_fixed<2>(query.data());
-  return nearest_generic(query);
+  double best_d2 = std::numeric_limits<double>::infinity();
+  const std::size_t slot = nearest_slot(query.data(), best_d2);
+  // Nothing beats +inf only when every distance is inf or NaN; the first
+  // slot stands in then.
+  return {order_[slot < count_ ? slot : 0], best_d2};
+}
+
+Neighbor KdTree::nearest(std::span<const double> query, double bound_d2) const {
+  support::expect(query.size() == dim_, "KdTree::nearest: wrong query dim");
+  support::expect(count_ > 0, "KdTree::nearest: empty tree");
+  // Starting from the next double above the bound makes the strict-< leaf
+  // update and far-child test accept d² == bound until the first hit, and
+  // strict from then on. Pruning removes only subtrees whose every point
+  // lies beyond the bound, and the near/far visit order does not depend on
+  // the bound, so the first minimum in visit order — the unbounded
+  // search's answer — is still the one kept.
+  double best_d2 =
+      std::nextafter(bound_d2, std::numeric_limits<double>::infinity());
+  const std::size_t slot = nearest_slot(query.data(), best_d2);
+  if (slot == count_) return nearest(query);  // no point within the bound
+  return {order_[slot], best_d2};
+}
+
+std::size_t KdTree::nearest_slot(const double* query, double& best_d2) const {
+  // The 2-D case is the ICP correspondence loop (per-type planar trees);
+  // it and 3-D get a compile-time-dim instantiation, other dims the
+  // generic loop. Same algorithm either way.
+  if (dim_ == 3) return nearest_fixed<3>(query, best_d2);
+  if (dim_ == 2) return nearest_fixed<2>(query, best_d2);
+  return nearest_generic(query, best_d2);
 }
 
 // Allocation-free single-neighbor search on a fixed-size stack. Traversal
 // order and the strict-< update are identical to k_nearest(query, 1), so the
 // result — including which index wins an exact distance tie — is the same.
 template <std::size_t kDim>
-Neighbor KdTree::nearest_fixed(const double* query) const {
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::size_t best_slot = 0;
+std::size_t KdTree::nearest_fixed(const double* query, double& best_d2) const {
+  std::size_t best_slot = count_;
   std::array<int, kMaxTraversalStack> stack;
   std::size_t top = 0;
   stack[top++] = root_;
@@ -198,12 +221,11 @@ Neighbor KdTree::nearest_fixed(const double* query) const {
     if (delta * delta < best_d2) stack[top++] = far_child;
     stack[top++] = near_child;
   }
-  return {order_[best_slot], best_d2};
+  return best_slot;
 }
 
-Neighbor KdTree::nearest_generic(std::span<const double> query) const {
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::size_t best_idx = 0;
+std::size_t KdTree::nearest_generic(const double* query, double& best_d2) const {
+  std::size_t best_slot = count_;
   std::array<int, kMaxTraversalStack> stack;
   std::size_t top = 0;
   stack[top++] = root_;
@@ -213,11 +235,10 @@ Neighbor KdTree::nearest_generic(std::span<const double> query) const {
     const Node& node = nodes_[static_cast<std::size_t>(node_id)];
     if (node.is_leaf()) {
       for (std::size_t i = node.begin; i < node.end; ++i) {
-        const std::size_t idx = order_[i];
-        const double d2 = dist_sq_to(idx, query);
+        const double d2 = dist_sq_to(order_[i], {query, dim_});
         if (d2 < best_d2) {
           best_d2 = d2;
-          best_idx = idx;
+          best_slot = i;
         }
       }
       continue;
@@ -228,7 +249,7 @@ Neighbor KdTree::nearest_generic(std::span<const double> query) const {
     if (delta * delta < best_d2) stack[top++] = far_child;
     stack[top++] = near_child;
   }
-  return {best_idx, best_d2};
+  return best_slot;
 }
 
 std::vector<Neighbor> KdTree::k_nearest(std::span<const double> query,

@@ -1,9 +1,10 @@
 // Generic-dimension k-d tree over points stored as a flat row-major array.
 //
-// Used by the ICP aligner (3-D type-lifted points), the Kozachenko–Leonenko
-// entropy estimator, and the marginal neighbor counts of the KSG
-// multi-information estimator (2-D per-particle marginals). The tree stores
-// indices into the caller's point array; the array must outlive the tree.
+// Used by the ICP aligner (per-type 2-D reference points), the
+// Kozachenko–Leonenko entropy estimator, and the marginal neighbor counts of
+// the KSG multi-information estimator (2-D per-particle marginals). The tree
+// stores indices into the caller's point array; the array must outlive the
+// tree.
 #pragma once
 
 #include <cstddef>
@@ -46,10 +47,23 @@ class KdTree {
   /// Largest batch accepted by the batched count_within_blocks overload.
   static constexpr std::size_t kMaxCountBatch = 8;
 
+  /// Most points a leaf holds: a tree of at most this many points is one
+  /// leaf, and a query on it is a single scan.
+  static constexpr std::size_t kLeafSize = 16;
+
   /// Nearest neighbor of `query` (dimension `dim()`); precondition: non-empty.
   /// Allocation-free; visits points in the same order as k_nearest(query, 1)
   /// with strict-< updates, so exact ties resolve to the same index.
   [[nodiscard]] Neighbor nearest(std::span<const double> query) const;
+
+  /// nearest(query), searched with `bound_d2` as the initial radius² — the
+  /// squared distance of a known candidate, so subtrees beyond it are never
+  /// entered. The result is exactly nearest(query), index included: until
+  /// the first point within the bound is found, a distance equal to the
+  /// bound is accepted, which keeps the first minimum in visit order. A
+  /// bound no indexed point meets falls back to the unbounded search.
+  [[nodiscard]] Neighbor nearest(std::span<const double> query,
+                                 double bound_d2) const;
 
   /// The k nearest neighbors of `query`, sorted by ascending distance.
   /// Returns fewer than k if the tree holds fewer points. When
@@ -108,7 +122,6 @@ class KdTree {
     [[nodiscard]] bool is_leaf() const noexcept { return left < 0; }
   };
 
-  static constexpr std::size_t kLeafSize = 16;
   // Upper bound on the explicit traversal stack of the allocation-free
   // queries. Splits are at the median, so depth <= ceil(log2(count)) + 1 and
   // the DFS stack holds at most depth + 1 entries; 128 covers any count that
@@ -133,9 +146,15 @@ class KdTree {
   }
   [[nodiscard]] double dist_sq_to(std::size_t i,
                                   std::span<const double> query) const noexcept;
+  // Slot of the nearest point with squared distance below `best_d2`, which
+  // is lowered to that distance; size() when no point is below it.
+  [[nodiscard]] std::size_t nearest_slot(const double* query,
+                                         double& best_d2) const;
   template <std::size_t kDim>
-  [[nodiscard]] Neighbor nearest_fixed(const double* query) const;
-  [[nodiscard]] Neighbor nearest_generic(std::span<const double> query) const;
+  [[nodiscard]] std::size_t nearest_fixed(const double* query,
+                                          double& best_d2) const;
+  [[nodiscard]] std::size_t nearest_generic(const double* query,
+                                            double& best_d2) const;
   int build(std::size_t begin, std::size_t end);
 
   std::span<const double> points_;
@@ -157,6 +176,15 @@ class BruteForceSearcher {
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
   [[nodiscard]] Neighbor nearest(std::span<const double> query) const;
+
+  /// nearest(query), searched with `bound_d2` as the initial radius² — the
+  /// squared distance of a known candidate, so subtrees beyond it are never
+  /// entered. The result is exactly nearest(query), index included: until
+  /// the first point within the bound is found, a distance equal to the
+  /// bound is accepted, which keeps the first minimum in visit order. A
+  /// bound no indexed point meets falls back to the unbounded search.
+  [[nodiscard]] Neighbor nearest(std::span<const double> query,
+                                 double bound_d2) const;
   [[nodiscard]] std::vector<Neighbor> k_nearest(
       std::span<const double> query, std::size_t k,
       std::size_t skip_index = static_cast<std::size_t>(-1)) const;

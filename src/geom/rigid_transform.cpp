@@ -33,6 +33,17 @@ std::vector<Vec2> centered(std::span<const Vec2> points) {
   return out;
 }
 
+namespace {
+
+// argmin over θ of Σ‖R(θ)·s_i − t_i‖² from the Procrustes sums; 0 when the
+// sums vanish (every point at the origin).
+double rotation_from_sums(double cross_sum, double dot_sum) noexcept {
+  if (cross_sum == 0.0 && dot_sum == 0.0) return 0.0;
+  return std::atan2(cross_sum, dot_sum);
+}
+
+}  // namespace
+
 double optimal_rotation(std::span<const Vec2> source,
                         std::span<const Vec2> target) {
   support::expect(source.size() == target.size(),
@@ -43,8 +54,7 @@ double optimal_rotation(std::span<const Vec2> source,
     cross_sum += cross(source[i], target[i]);
     dot_sum += dot(source[i], target[i]);
   }
-  if (cross_sum == 0.0 && dot_sum == 0.0) return 0.0;
-  return std::atan2(cross_sum, dot_sum);
+  return rotation_from_sums(cross_sum, dot_sum);
 }
 
 RigidTransform2 fit_rigid(std::span<const Vec2> source,
@@ -53,13 +63,17 @@ RigidTransform2 fit_rigid(std::span<const Vec2> source,
                   "fit_rigid: size mismatch or empty input");
   const Vec2 source_c = centroid(source);
   const Vec2 target_c = centroid(target);
-  std::vector<Vec2> s_centered;
-  std::vector<Vec2> t_centered;
-  s_centered.reserve(source.size());
-  t_centered.reserve(target.size());
-  for (const Vec2 p : source) s_centered.push_back(p - source_c);
-  for (const Vec2 p : target) t_centered.push_back(p - target_c);
-  const double angle = optimal_rotation(s_centered, t_centered);
+  // optimal_rotation of the centred configurations, centring each pair on
+  // the fly: the same operations in the same order, without the copies.
+  double cross_sum = 0.0;
+  double dot_sum = 0.0;
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const Vec2 s = source[i] - source_c;
+    const Vec2 t = target[i] - target_c;
+    cross_sum += cross(s, t);
+    dot_sum += dot(s, t);
+  }
+  const double angle = rotation_from_sums(cross_sum, dot_sum);
   // g(p) = R(p − source_c) + target_c  ⇒  translation = target_c − R·source_c.
   return {angle, target_c - rotated(source_c, angle)};
 }

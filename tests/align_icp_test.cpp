@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numbers>
 #include <numeric>
 #include <span>
@@ -164,6 +165,23 @@ TEST(Icp, PreconditionsEnforced) {
   EXPECT_THROW((void)align_icp(cloud.points, cloud.types, cloud.points,
                                cloud.types, bad),
                sops::PreconditionError);
+
+  // No iterations: there would be no correspondence to score.
+  IcpOptions no_iterations;
+  no_iterations.max_iterations = 0;
+  EXPECT_THROW((void)align_icp(cloud.points, cloud.types, cloud.points,
+                               cloud.types, no_iterations),
+               sops::PreconditionError);
+
+  // A NaN coordinate on either side.
+  std::vector<Vec2> with_nan = cloud.points;
+  with_nan[3].y = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(
+      (void)align_icp(with_nan, cloud.types, cloud.points, cloud.types),
+      sops::PreconditionError);
+  EXPECT_THROW(
+      (void)align_icp(cloud.points, cloud.types, with_nan, cloud.types),
+      sops::PreconditionError);
 }
 
 TEST(MatchByType, IdentityOnEqualClouds) {

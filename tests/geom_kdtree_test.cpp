@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "geom/kdtree.hpp"
@@ -202,6 +204,74 @@ TEST_P(KdTreeVsBruteForce, NearestIsExactlyKNearestOne) {
     const Neighbor reference = tree.k_nearest(query, 1).front();
     EXPECT_EQ(fast.index, reference.index);
     EXPECT_EQ(fast.dist_sq, reference.dist_sq);
+  }
+}
+
+// nearest(q, bound) is nearest(q) — same index on exact ties, same bits —
+// for a bound exactly tying a point's d² (inclusive until the first hit),
+// for bounds above it, and for bounds no point meets (fallback).
+void expect_bounded_equals_nearest(const KdTree& tree,
+                                   const BruteForceSearcher& oracle,
+                                   std::span<const double> query) {
+  const Neighbor expected = tree.nearest(query);
+  const auto all = oracle.k_nearest(query, oracle.size());
+  std::vector<double> bounds;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, all.size() / 2,
+                              all.size() - 1}) {
+    const double d2 = all[std::min(k, all.size() - 1)].dist_sq;
+    bounds.push_back(d2);
+    bounds.push_back(std::nextafter(d2, std::numeric_limits<double>::infinity()));
+    bounds.push_back(d2 * 1.5 + 1e-3);
+  }
+  bounds.push_back(std::numeric_limits<double>::infinity());
+  if (all.front().dist_sq > 0.0) {
+    bounds.push_back(std::nextafter(all.front().dist_sq, 0.0));  // below all
+  }
+  bounds.push_back(-1.0);
+  for (const double bound : bounds) {
+    const Neighbor bounded = tree.nearest(query, bound);
+    EXPECT_EQ(bounded.index, expected.index) << "bound=" << bound;
+    EXPECT_EQ(bounded.dist_sq, expected.dist_sq) << "bound=" << bound;
+  }
+}
+
+TEST_P(KdTreeVsBruteForce, BoundedNearestIsExactlyNearest) {
+  const auto [count, dim] = GetParam();
+  auto data = random_points(count, dim, 57);
+  for (std::size_t i = 0; i + 1 < count && i < 4; ++i) {
+    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(i * dim), dim,
+                data.begin() + static_cast<std::ptrdiff_t>((count - 1 - i) * dim));
+  }
+  const KdTree tree(data, dim);
+  const BruteForceSearcher oracle(data, dim);
+  const auto queries = random_points(20, dim, 58);
+  for (std::size_t q = 0; q < 20; ++q) {
+    expect_bounded_equals_nearest(tree, oracle, {queries.data() + q * dim, dim});
+  }
+  for (std::size_t i = 0; i < std::min<std::size_t>(count, 8); ++i) {
+    expect_bounded_equals_nearest(tree, oracle, {data.data() + i * dim, dim});
+  }
+}
+
+TEST(KdTree, BoundedNearestOnLatticeTies) {
+  // Integer lattice with every point twice: half-integer queries sit at
+  // exactly equal distance from 2 or 4 points (each duplicated).
+  std::vector<double> data;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int y = 0; y < 12; ++y) {
+      for (int x = 0; x < 12; ++x) {
+        data.push_back(x);
+        data.push_back(y);
+      }
+    }
+  }
+  const KdTree tree(data, 2);
+  const BruteForceSearcher oracle(data, 2);
+  for (int y = 0; y < 24; ++y) {
+    for (int x = 0; x < 24; ++x) {
+      const double query[2] = {0.5 * x - 0.5, 0.5 * y - 0.5};
+      expect_bounded_equals_nearest(tree, oracle, {query, 2});
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 // Tests for rigid transforms, centroiding, and the Procrustes fit.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "geom/rigid_transform.hpp"
@@ -138,6 +140,44 @@ TEST(FitRigid, NoiseGivesLeastSquaresFit) {
   const RigidTransform2 fitted = fit_rigid(source, target);
   EXPECT_NEAR(fitted.angle, truth.angle, 0.01);
   EXPECT_LT(mean_squared_error(fitted.apply(source), target), 4e-4);
+}
+
+// The copy-centring form fit_rigid had before it accumulated the centred
+// Procrustes sums in one pass: centred copies, then optimal_rotation.
+RigidTransform2 fit_rigid_via_centered_copies(std::span<const Vec2> source,
+                                              std::span<const Vec2> target) {
+  const Vec2 source_c = centroid(source);
+  const Vec2 target_c = centroid(target);
+  std::vector<Vec2> s_centered;
+  std::vector<Vec2> t_centered;
+  for (const Vec2 p : source) s_centered.push_back(p - source_c);
+  for (const Vec2 p : target) t_centered.push_back(p - target_c);
+  const double angle = optimal_rotation(s_centered, t_centered);
+  return {angle, target_c - rotated(source_c, angle)};
+}
+
+TEST(FitRigid, BitwiseEqualToCenteredCopyForm) {
+  sops::rng::Xoshiro256 engine(47);
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const std::size_t n = 1 + static_cast<std::size_t>(seed * 7 % 300);
+    const auto source = random_cloud(n, 100 + seed);
+    const RigidTransform2 pose{sops::rng::uniform(engine, -kPi, kPi),
+                               {sops::rng::uniform(engine, -50, 50),
+                                sops::rng::uniform(engine, -50, 50)}};
+    auto target = pose.apply(source);
+    for (Vec2& p : target) p += sops::rng::normal_vec2(engine, 0.3);
+
+    const RigidTransform2 fast = fit_rigid(source, target);
+    const RigidTransform2 slow = fit_rigid_via_centered_copies(source, target);
+    EXPECT_EQ(std::memcmp(&fast.angle, &slow.angle, sizeof(double)), 0) << n;
+    EXPECT_EQ(std::memcmp(&fast.translation, &slow.translation, sizeof(Vec2)),
+              0)
+        << n;
+  }
+  // All points at one spot: both forms take the degenerate θ = 0.
+  const std::vector<Vec2> point(5, Vec2{2.0, -1.0});
+  EXPECT_EQ(fit_rigid(point, point).angle, 0.0);
+  EXPECT_EQ(fit_rigid_via_centered_copies(point, point).angle, 0.0);
 }
 
 TEST(MeanSquaredError, KnownValue) {
