@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "bench_common.hpp"
+#include "support/executor.hpp"
 
 namespace {
 
@@ -54,13 +55,21 @@ int main(int argc, char** argv) {
   const auto pair = correlated_blocks(m, 2, std::sqrt(rho), 1);
   const auto blocks2 = info::uniform_blocks(2, 1);
 
+  // The bivariate estimates (and the sparse-ensemble table rows below) run
+  // multithreaded: KSG on its call-local pool (KsgOptions::threads = 0),
+  // KDE on a pool of the same hardware width owned here.
+  support::TaskPool pool(0);
+  info::KdeOptions kde_pooled;
+  kde_pooled.executor = &pool.executor();
+
   double ksg_value = 0.0;
   double kde_value = 0.0;
   double bin_value = 0.0;
   const double ksg_ms = time_ms(
       [&] { return info::multi_information_ksg(pair, blocks2); }, ksg_value);
   const double kde_ms = time_ms(
-      [&] { return info::multi_information_kde(pair, blocks2); }, kde_value);
+      [&] { return info::multi_information_kde(pair, blocks2, kde_pooled); },
+      kde_value);
   const double bin_ms = time_ms(
       [&] {
         return info::multi_information_binned(pair, blocks2,
@@ -86,10 +95,10 @@ int main(int argc, char** argv) {
   ml_binning.james_stein_shrinkage = false;
   // Single-threaded estimators for the timing comparison: wall-clock of the
   // multithreaded paths on a contended machine is too noisy to compare.
+  // (KdeOptions{} runs inline: no executor is lent.)
   info::KsgOptions ksg_serial;
   ksg_serial.threads = 1;
-  info::KdeOptions kde_serial;
-  kde_serial.threads = 1;
+  const info::KdeOptions kde_serial;
   std::vector<double> ksg_values;
   std::vector<double> kde_values;
   std::vector<double> bin_values;
@@ -162,8 +171,10 @@ int main(int argc, char** argv) {
                   "highdim_sd", "sparse_independent", "sparse_organized"};
   table.add_row({0, ksg_value, ksg_ms, stddev(ksg_values), ksg_indep, ksg_org});
   table.add_row({1, kde_value, kde_ms, stddev(kde_values),
-                 info::multi_information_kde(independent, blocks_high),
-                 info::multi_information_kde(organized, blocks_high)});
+                 info::multi_information_kde(independent, blocks_high,
+                                             kde_pooled),
+                 info::multi_information_kde(organized, blocks_high,
+                                             kde_pooled)});
   table.add_row({2, bin_value, bin_ms, stddev(bin_values), bin_indep, bin_org});
   bench::dump_csv("ablation_estimators.csv", table);
 

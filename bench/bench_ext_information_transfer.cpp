@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "bench_common.hpp"
+#include "support/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace sops;
@@ -33,8 +34,13 @@ int main(int argc, char** argv) {
     follower += (leader - follower) * 0.25 + rng::normal_vec2(engine, 0.05);
     leader += rng::normal_vec2(engine, 0.3);
   }
-  const double te_forward = info::particle_transfer_entropy(chase_frames, 0, 1);
-  const double te_backward = info::particle_transfer_entropy(chase_frames, 1, 0);
+  support::TaskPool pool(0);  // hardware width, shared by every estimate
+  info::TransferEntropyOptions te_options;
+  te_options.executor = &pool.executor();
+  const double te_forward =
+      info::particle_transfer_entropy(chase_frames, 0, 1, te_options);
+  const double te_backward =
+      info::particle_transfer_entropy(chase_frames, 1, 0, te_options);
   std::cout << "leader -> follower TE: " << te_forward << " bits\n"
             << "follower -> leader TE: " << te_backward << " bits\n\n";
 
@@ -57,7 +63,6 @@ int main(int argc, char** argv) {
     return total / static_cast<double>(trajectory.frames.size() - half);
   };
 
-  info::TransferEntropyOptions te_options;
   std::vector<double> near_te;
   std::vector<double> far_te;
   // Sample a deterministic subset of pairs to keep the run short.

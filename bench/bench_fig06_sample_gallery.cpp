@@ -6,6 +6,7 @@
 // i.e. between-sample variation at t = 250 is much smaller than the
 // variation of the initial condition, yet not zero.
 #include "bench_common.hpp"
+#include "support/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace sops;
@@ -55,10 +56,13 @@ int main(int argc, char** argv) {
   // normalized by the configuration scale (the collective physically
   // expands under the Fig. 4 forces, so absolute distances grow — what the
   // categories shrink is the *relative* between-sample variation).
+  support::TaskPool pool(0);  // hardware width
+  align::EnsembleOptions pooled;
+  pooled.executor = &pool.executor();
   const align::AlignedEnsemble initial =
-      align::align_ensemble(series.frames[f0], series.types);
+      align::align_ensemble(series.frames[f0], series.types, pooled);
   const align::AlignedEnsemble organized =
-      align::align_ensemble(series.frames[f250], series.types);
+      align::align_ensemble(series.frames[f250], series.types, pooled);
   auto normalized_spread = [](const align::AlignedEnsemble& ensemble) {
     double rms_radius = 0.0;
     for (std::size_t s = 0; s < ensemble.sample_count(); ++s) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "bench_common.hpp"
+#include "support/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace sops;
@@ -25,8 +26,11 @@ int main(int argc, char** argv) {
   core::ExperimentConfig experiment(simulation);
   experiment.samples = args.samples(120, 500);
   const core::EnsembleSeries series = core::run_experiment(experiment);
+  support::TaskPool pool(0);  // hardware width
+  align::EnsembleOptions pooled;
+  pooled.executor = &pool.executor();
   const align::AlignedEnsemble aligned =
-      align::align_ensemble(series.frames.back(), series.types);
+      align::align_ensemble(series.frames.back(), series.types, pooled);
 
   const std::size_t n = aligned.observer_count();
   const std::size_t m = aligned.sample_count();

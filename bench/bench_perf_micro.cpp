@@ -23,7 +23,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <numbers>
 #include <numeric>
 #include <optional>
@@ -63,6 +65,86 @@ sim::InteractionModel default_model(std::size_t types) {
   return sim::InteractionModel(sim::ForceLawKind::kSpring, types,
                                sim::PairParams{1.0, 2.0, 1.0, 1.0});
 }
+
+// Width-1 executor for the single-threaded measurements (stateless, so one
+// instance serves every call).
+support::SerialExecutor inline_executor;
+
+// ------------------------------------------------------------------------
+// Frozen fork/join baseline: each dispatch spawns up to width()-1 helper
+// threads that drain the batch alongside the caller and are joined before
+// the dispatch returns — live helpers are capped at
+// min(width()-1, task_count-1). The library runs only on SerialExecutor and
+// TaskPool; this executor is the yardstick the pool's dispatch cost, the
+// fork-per-step intra-step rows and the frozen post-hoc analyzer are
+// measured against. Do not optimize it.
+class SpawnExecutor final : public support::Executor {
+ public:
+  /// `width` counts the calling thread; 0 selects default_thread_count().
+  explicit SpawnExecutor(std::size_t width = 0) noexcept
+      : width_(width == 0 ? support::default_thread_count() : width) {}
+
+  [[nodiscard]] std::size_t width() const noexcept override { return width_; }
+
+  void run(std::size_t task_count, support::TaskRef task) override {
+    if (task_count == 0) return;
+    const std::size_t helpers = std::min(width_ - 1, task_count - 1);
+    if (helpers == 0) {
+      for (std::size_t k = 0; k < task_count; ++k) task(k);
+      return;
+    }
+
+    Job job(task, task_count);
+    std::vector<std::thread> threads;
+    threads.reserve(helpers);
+    try {
+      for (std::size_t w = 0; w < helpers; ++w) {
+        threads.emplace_back([&job] { job.drain(); });
+      }
+    } catch (...) {
+      // Thread exhaustion mid-spawn: finish the batch with whoever exists,
+      // join them, and surface the spawn failure (not std::terminate via a
+      // joinable thread's destructor).
+      job.drain();
+      for (std::thread& thread : threads) thread.join();
+      throw;
+    }
+    job.drain();
+    for (std::thread& thread : threads) thread.join();
+    if (job.first_error) std::rethrow_exception(job.first_error);
+  }
+
+ private:
+  // Shared state of one dispatch: the task counter its runners drain and
+  // the first error. Every task is attempted even after an error.
+  struct Job {
+    Job(support::TaskRef task_ref, std::size_t count) noexcept
+        : task(task_ref), task_count(count) {}
+
+    support::TaskRef task;
+    std::size_t task_count;
+    std::atomic<std::size_t> next_task{0};
+
+    std::mutex error_mutex;
+    std::exception_ptr first_error;  // guarded by error_mutex
+
+    void drain() noexcept {
+      for (;;) {
+        const std::size_t k =
+            next_task.fetch_add(1, std::memory_order_relaxed);
+        if (k >= task_count) return;
+        try {
+          task(k);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
+        }
+      }
+    }
+  };
+
+  std::size_t width_;
+};
 
 // ------------------------------------------------------------------------
 // Pre-engine reference stepper. This reproduces, deliberately and verbatim
@@ -169,7 +251,7 @@ void BM_DriftCellGridPersistent(benchmark::State& state) {
   std::vector<geom::Vec2> drift;
   geom::CellGridBackend backend;
   for (auto _ : state) {
-    sim::accumulate_drift(system, table, 3.0, drift, backend);
+    sim::accumulate_drift(system, table, 3.0, drift, backend, inline_executor);
     benchmark::DoNotOptimize(drift.data());
   }
   state.SetComplexityN(static_cast<int64_t>(n));
@@ -188,7 +270,7 @@ void BM_DriftVerletPersistent(benchmark::State& state) {
   std::vector<geom::Vec2> drift;
   geom::VerletListBackend backend;
   for (auto _ : state) {
-    sim::accumulate_drift(system, table, 3.0, drift, backend);
+    sim::accumulate_drift(system, table, 3.0, drift, backend, inline_executor);
     benchmark::DoNotOptimize(drift.data());
   }
   state.SetComplexityN(static_cast<int64_t>(n));
@@ -229,7 +311,8 @@ void BM_StepEngine(benchmark::State& state) {
   geom::CellGridBackend backend;
   for (auto _ : state) {
     // The engine's steady-state step: cached table, persistent backend.
-    sim::accumulate_drift(system, table, 3.0, scratch, backend);
+    sim::accumulate_drift(system, table, 3.0, scratch, backend,
+                          inline_executor);
     benchmark::DoNotOptimize(sim::total_drift_norm(scratch));
     sim::apply_euler_maruyama_update(system, scratch, params, engine);
   }
@@ -255,8 +338,9 @@ void BM_StepEngineIntraStep(benchmark::State& state) {
   rng::Xoshiro256 engine(1);
   std::vector<geom::Vec2> scratch;
   geom::CellGridBackend backend;
+  SpawnExecutor spawn(step_threads);
   for (auto _ : state) {
-    sim::accumulate_drift(system, table, 3.0, scratch, backend, step_threads);
+    sim::accumulate_drift(system, table, 3.0, scratch, backend, spawn);
     benchmark::DoNotOptimize(sim::total_drift_norm(scratch));
     sim::apply_euler_maruyama_update(system, scratch, params, engine);
   }
@@ -402,7 +486,8 @@ double measure_steps_per_sec(std::size_t n, bool use_engine) {
 
   const auto one_step = [&] {
     if (use_engine) {
-      sim::accumulate_drift(system, table, 3.0, scratch, backend);
+      sim::accumulate_drift(system, table, 3.0, scratch, backend,
+                            inline_executor);
       const double residual = sim::total_drift_norm(scratch);
       sim::apply_euler_maruyama_update(system, scratch, params, engine);
       return residual;
@@ -434,15 +519,12 @@ double measure_intra_step_steps_per_sec(std::size_t n, std::size_t step_threads,
   std::vector<geom::Vec2> scratch;
   geom::CellGridBackend backend;
   std::optional<support::TaskPool> pool;
-  if (pooled) pool.emplace(step_threads);
+  SpawnExecutor spawn(step_threads);
+  support::Executor* executor = &spawn;
+  if (pooled) executor = &pool.emplace(step_threads).executor();
 
   const auto one_step = [&] {
-    if (pool.has_value()) {
-      sim::accumulate_drift(system, table, 3.0, scratch, backend,
-                            pool->executor());
-    } else {
-      sim::accumulate_drift(system, table, 3.0, scratch, backend, step_threads);
-    }
+    sim::accumulate_drift(system, table, 3.0, scratch, backend, *executor);
     benchmark::DoNotOptimize(sim::total_drift_norm(scratch));
     sim::apply_euler_maruyama_update(system, scratch, params, engine);
   };
@@ -462,7 +544,7 @@ double measure_intra_step_steps_per_sec(std::size_t n, std::size_t step_threads,
 // drift work — the number kIntraStepMinParticles is derived from.
 double measure_dispatch_us(std::size_t width, bool pooled) {
   std::optional<support::TaskPool> pool;
-  std::optional<support::SpawnExecutor> spawn;
+  std::optional<SpawnExecutor> spawn;
   support::Executor* executor;
   if (pooled) {
     pool.emplace(width);
@@ -527,7 +609,7 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
   {
     rng::Xoshiro256 engine(1);
     for (int i = 0; i < kVerletSettleSteps; ++i) {
-      sim::accumulate_drift(system, table, 3.0, drift, grid);
+      sim::accumulate_drift(system, table, 3.0, drift, grid, inline_executor);
       sim::apply_euler_maruyama_update(system, drift, params, engine);
     }
   }
@@ -542,7 +624,8 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
     rng::Xoshiro256 engine(2);
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(grid_system, table, 3.0, drift, grid);
+      sim::accumulate_drift(grid_system, table, 3.0, drift, grid,
+                            inline_executor);
       sim::apply_euler_maruyama_update(grid_system, drift, params, engine);
     }
     return steps / std::chrono::duration<double>(
@@ -553,11 +636,13 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
     auto verlet_system = system;
     rng::Xoshiro256 engine(2);
     geom::VerletListBackend verlet(kVerletBenchSkin);
-    sim::accumulate_drift(verlet_system, table, 3.0, drift, verlet);  // warm
+    sim::accumulate_drift(verlet_system, table, 3.0, drift, verlet,
+                          inline_executor);  // warm
     verlet.reset_stats();
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(verlet_system, table, 3.0, drift, verlet);
+      sim::accumulate_drift(verlet_system, table, 3.0, drift, verlet,
+                            inline_executor);
       sim::apply_euler_maruyama_update(verlet_system, drift, params, engine);
     }
     const double rate =
@@ -581,13 +666,15 @@ VerletBenchRow measure_verlet_row(std::size_t n) {
     // noise dominates the decayed drift, so the later segment is the same
     // workload the fixed-skin leg sees).
     for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(adaptive_system, table, 3.0, drift, verlet);
+      sim::accumulate_drift(adaptive_system, table, 3.0, drift, verlet,
+                            inline_executor);
       sim::apply_euler_maruyama_update(adaptive_system, drift, params, engine);
     }
     verlet.reset_stats();
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < steps; ++i) {
-      sim::accumulate_drift(adaptive_system, table, 3.0, drift, verlet);
+      sim::accumulate_drift(adaptive_system, table, 3.0, drift, verlet,
+                            inline_executor);
       sim::apply_euler_maruyama_update(adaptive_system, drift, params, engine);
     }
     const double rate =
@@ -973,7 +1060,8 @@ align::AlignedEnsemble align_rows(geom::FrameView configs,
     }
   };
   write_row(0, reference);
-  support::parallel_for(1, m, [&](std::size_t s) {
+  SpawnExecutor spawn;
+  support::parallel_for(spawn, 1, m, [&](std::size_t s) {
     std::vector<geom::Vec2> moved = geom::centered(configs[s]);
     const align::IcpResult icp =
         prestream::align_icp(moved, types, reference, types,
@@ -1002,6 +1090,8 @@ double analyze_frame(geom::FrameView frame,
       align::coarse_grain_ensemble(aligned, options.kmeans_per_type, engine);
   info::KsgOptions ksg = options.ksg;
   ksg.search = info::NeighborSearch::kBruteForce;
+  SpawnExecutor spawn(ksg.threads);
+  ksg.executor = &spawn;
   return info::multi_information_ksg(aligned.samples, aligned.blocks, ksg);
 }
 
@@ -1551,19 +1641,20 @@ int run_smoke() {
   geom::CellGridBackend pooled_backend;
   geom::CellGridBackend scalar_backend;
   support::TaskPool pool(4);
+  SpawnExecutor spawn(4);
   const auto smoke_policy = support::simd_policy();
   for (int step = 0; step < 25; ++step) {
     sim::accumulate_drift(serial_system, table, 3.0, serial_drift,
-                          serial_backend, 1);
+                          serial_backend, inline_executor);
     sim::accumulate_drift(sharded_system, table, 3.0, sharded_drift,
-                          sharded_backend, 4);
+                          sharded_backend, spawn);
     sim::accumulate_drift(pooled_system, table, 3.0, pooled_drift,
                           pooled_backend, pool.executor());
     // The scalar reference kernels must reproduce whatever the ambient
     // policy (simd, on capable builds) computed, bit for bit.
     support::set_simd_policy(support::SimdPolicy::kScalar);
     sim::accumulate_drift(scalar_system, table, 3.0, scalar_drift,
-                          scalar_backend, 1);
+                          scalar_backend, inline_executor);
     support::set_simd_policy(smoke_policy);
     for (std::size_t i = 0; i < n; ++i) {
       if (!(serial_drift[i] == sharded_drift[i]) ||
@@ -1593,7 +1684,7 @@ int run_smoke() {
   geom::VerletListBackend verlet_pooled;
   for (int step = 0; step < 25; ++step) {
     sim::accumulate_drift(verlet_serial_system, table, 3.0, serial_drift,
-                          verlet_serial, 1);
+                          verlet_serial, inline_executor);
     sim::accumulate_drift(verlet_pooled_system, table, 3.0, pooled_drift,
                           verlet_pooled, pool.executor());
     for (std::size_t i = 0; i < n; ++i) {
@@ -1626,7 +1717,7 @@ int run_smoke() {
   adaptive_pooled.set_partial_rebuild(true);
   for (int step = 0; step < 25; ++step) {
     sim::accumulate_drift(adaptive_serial_system, table, 3.0, serial_drift,
-                          adaptive_serial, 1);
+                          adaptive_serial, inline_executor);
     sim::accumulate_drift(adaptive_pooled_system, table, 3.0, pooled_drift,
                           adaptive_pooled, pool.executor());
     for (std::size_t i = 0; i < n; ++i) {

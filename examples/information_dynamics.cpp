@@ -15,6 +15,7 @@
 #include "example_args.hpp"
 
 #include "core/sops.hpp"
+#include "support/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace sops;
@@ -35,17 +36,22 @@ int main(int argc, char** argv) {
             << io::render_scatter(trajectory.frames.back(), trajectory.types)
             << "\n";
 
+  // Every estimate below runs on one pool of hardware width.
+  support::TaskPool pool(0);
+  info::TransferEntropyOptions options;
+  options.executor = &pool.executor();
+
   // Active information storage per particle.
   std::cout << "active information storage (bits):\n";
   for (std::size_t i = 0; i < n; ++i) {
-    const double ais =
-        info::particle_active_information_storage(trajectory.frames, i);
+    const double ais = info::particle_active_information_storage(
+        trajectory.frames, i, options);
     std::cout << "  particle " << i << " (type " << trajectory.types[i]
               << "): " << std::fixed << std::setprecision(3) << ais << "\n";
   }
 
   // Transfer-entropy matrix; report the strongest directed links.
-  const auto te = info::transfer_entropy_matrix(trajectory.frames);
+  const auto te = info::transfer_entropy_matrix(trajectory.frames, options);
   struct Link {
     std::size_t from;
     std::size_t to;

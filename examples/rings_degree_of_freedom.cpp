@@ -17,6 +17,7 @@
 #include "example_args.hpp"
 
 #include "core/sops.hpp"
+#include "support/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace sops;
@@ -29,8 +30,11 @@ int main(int argc, char** argv) {
   core::ExperimentConfig experiment(simulation);
   experiment.samples = samples;
   const core::EnsembleSeries series = core::run_experiment(experiment);
+  support::TaskPool pool(0);  // align on every hardware thread
+  align::EnsembleOptions pooled;
+  pooled.executor = &pool.executor();
   const align::AlignedEnsemble aligned =
-      align::align_ensemble(series.frames.back(), series.types);
+      align::align_ensemble(series.frames.back(), series.types, pooled);
 
   const std::size_t n = aligned.observer_count();
   const std::size_t m = aligned.sample_count();

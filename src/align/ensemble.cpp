@@ -41,9 +41,7 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
   write_row(0, reference);
   if (m == 1) return out;
 
-  support::SpawnExecutor transient(options.threads);
-  support::Executor& executor =
-      options.executor != nullptr ? *options.executor : transient;
+  support::Executor& executor = support::executor_or_inline(options.executor);
 
   // Every (row, restart) descent is one task of a single batch, so the
   // runners stay busy until the last descent of the frame; the reference

@@ -52,13 +52,11 @@ struct AlignedEnsemble {
 /// Ensemble-alignment options.
 struct EnsembleOptions {
   IcpOptions icp{};
-  std::size_t threads = 0;
-  /// When set, the alignment dispatches on this executor (a persistent pool
-  /// slice the caller reuses across frames) and `threads` is ignored; when
-  /// null, a transient fork/join of `threads` workers runs per call. The
-  /// ICP descents run as one batch of (sample, restart) tasks, then each
-  /// sample picks its best restart in restart order. Never affects results:
-  /// every task is independent and writes its own slot.
+  /// The executor the alignment dispatches on (a persistent pool slice the
+  /// caller reuses across frames); null runs it inline on the calling
+  /// thread. The ICP descents run as one batch of (sample, restart) tasks,
+  /// then each sample picks its best restart in restart order. Never
+  /// affects results: every task is independent and writes its own slot.
   support::Executor* executor = nullptr;
   /// Skip the ICP rotation (still centers and permutes). Used by ablations
   /// to show the effect of factoring rotations out.

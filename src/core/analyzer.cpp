@@ -37,11 +37,9 @@ FrameAnalysis analyze_frame(geom::FrameView frame,
                             std::size_t step, std::size_t frame_index,
                             bool coarse, const AnalysisOptions& options,
                             support::Executor& executor) {
-  // The inner stages never fork on their own (threads = 1); every loop —
-  // the alignment rows, the estimator's sample queries — dispatches on the
-  // caller's executor. Neither affects results.
+  // Every loop — the alignment rows, the estimator's sample queries —
+  // dispatches on the caller's executor. Neither affects results.
   align::EnsembleOptions ensemble_options = options.ensemble;
-  ensemble_options.threads = 1;
   ensemble_options.executor = &executor;
   info::KsgOptions ksg = options.ksg;
   ksg.threads = 1;
@@ -78,13 +76,13 @@ FrameAnalysis analyze_frame(geom::FrameView frame,
 
   if (options.compute_entropies) {
     // Same lent executor as the KSG queries: the entropy curves ride the
-    // persistent pool instead of running serially (or forking).
+    // persistent pool instead of running serially.
     point.joint_entropy =
-        info::entropy_kl(aligned.samples, ksg.k, executor, entropy_cache);
+        info::entropy_kl(aligned.samples, ksg.k, &executor, entropy_cache);
     point.marginal_entropy_sum = 0.0;
     for (const info::Block& block : aligned.blocks) {
       point.marginal_entropy_sum += info::entropy_kl_block(
-          aligned.samples, block, ksg.k, executor, entropy_cache);
+          aligned.samples, block, ksg.k, &executor, entropy_cache);
     }
   }
   if (options.compute_decomposition) {

@@ -26,16 +26,15 @@ struct KdeOptions {
   /// Kernel bandwidth multiplier on the Silverman-style per-block scale
   /// h = scale · σ̂ · m^{−1/(d+4)}.
   double bandwidth_scale = 1.0;
-  std::size_t threads = 0;
-  /// When set, density evaluations dispatch their sample chunks on this
-  /// executor (a persistent pool the caller reuses across calls) and
-  /// `threads` is ignored — mirroring KsgOptions::executor. Never affects
-  /// the estimate.
+  /// The executor density evaluations dispatch their sample chunks on (a
+  /// persistent pool the caller reuses across calls); null runs them inline
+  /// on the calling thread. Never affects the estimate.
   support::Executor* executor = nullptr;
 };
 
 /// Leave-one-out log₂ density estimate of block coordinates at each sample;
-/// exposed for tests.
+/// exposed for tests. The block must be non-empty and lie within the sample
+/// dimension (the rules validate_blocks applies).
 [[nodiscard]] std::vector<double> kde_log2_density(const SampleMatrix& samples,
                                                    const Block& block,
                                                    const KdeOptions& options = {});

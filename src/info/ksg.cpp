@@ -135,7 +135,9 @@ double multi_information_ksg(const SampleMatrix& samples,
     // chunked queries — no per-call thread creation.
     support::parallel_for_chunked(*options.executor, 0, m, query_chunk);
   } else {
-    support::parallel_for_chunked(0, m, query_chunk, options.threads);
+    // Same width and chunk partition as a lent pool of `threads` runners.
+    support::TaskPool pool(options.threads);
+    support::parallel_for_chunked(pool.executor(), 0, m, query_chunk);
   }
 
   double mean_psi = 0.0;

@@ -48,11 +48,14 @@ enum class KsgConvention {
 struct KsgOptions {
   std::size_t k = 4;  ///< neighbor order (paper §6 uses 4; §5.3 mentions 5)
   KsgConvention convention = KsgConvention::kStandard;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
+  /// Width of the call-local TaskPool the query loop runs on when
+  /// `executor` is null (0 = hardware concurrency, 1 = inline). The one
+  /// thread-count knob left on an estimator, kept while perfbench's traced
+  /// rebuild sets it.
+  std::size_t threads = 0;
   /// When set, the per-sample query loop dispatches its chunks on this
   /// executor (a persistent pool the caller reuses across frames) and
-  /// `threads` is ignored; when null, a transient fork/join of `threads`
-  /// workers runs per call. Never affects the estimate: per-sample terms
+  /// `threads` is ignored. Never affects the estimate: per-sample terms
   /// are reduced in a fixed order regardless of who computes them.
   support::Executor* executor = nullptr;
   /// Neighbor-count implementation; never affects the estimate.

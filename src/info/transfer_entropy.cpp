@@ -24,15 +24,14 @@ double joint_dist(const SampleMatrix& samples, std::size_t s, std::size_t j,
   return std::sqrt(d_sq);
 }
 
-// One implementation behind the dispatch forms of the conditional MI:
-// the caller's lent executor when present, a transient fork/join otherwise;
+// The conditional MI behind the public entry point and transfer_entropy:
 // subspace kd-trees (kBlockedTree) or exhaustive scans (kBruteForce) for the
 // neighbor work — both produce identical bits (same distances, same strict-<
 // comparisons; the joint ε is the same order statistic either way).
 double conditional_mi_impl(const SampleMatrix& samples, const Block& a,
                            const Block& b, const Block& c, std::size_t k,
-                           support::Executor* executor, std::size_t threads,
-                           NeighborSearch search, FrameNeighborCache* cache) {
+                           support::Executor* executor, NeighborSearch search,
+                           FrameNeighborCache* cache) {
   const std::size_t m = samples.count();
   support::expect(k >= 1, "conditional MI: k must be >= 1");
   support::expect(m >= k + 1, "conditional MI: need at least k+1 samples");
@@ -139,11 +138,8 @@ double conditional_mi_impl(const SampleMatrix& samples, const Block& a,
                       digamma_int(n_c + 1);
     }
   };
-  if (executor != nullptr) {
-    support::parallel_for_chunked(*executor, 0, m, chunk);
-  } else {
-    support::parallel_for_chunked(0, m, chunk, threads);
-  }
+  support::parallel_for_chunked(support::executor_or_inline(executor), 0, m,
+                                chunk);
 
   double mean_psi = 0.0;
   for (const double v : per_sample) mean_psi += v;
@@ -154,27 +150,11 @@ double conditional_mi_impl(const SampleMatrix& samples, const Block& a,
 
 }  // namespace
 
-double conditional_mutual_information_ksg(const SampleMatrix& samples,
-                                          const Block& a, const Block& b,
-                                          const Block& c, std::size_t k,
-                                          std::size_t threads) {
-  return conditional_mi_impl(samples, a, b, c, k, nullptr, threads,
-                             NeighborSearch::kBlockedTree, nullptr);
-}
-
-double conditional_mutual_information_ksg(const SampleMatrix& samples,
-                                          const Block& a, const Block& b,
-                                          const Block& c, std::size_t k,
-                                          support::Executor& executor) {
-  return conditional_mi_impl(samples, a, b, c, k, &executor, 1,
-                             NeighborSearch::kBlockedTree, nullptr);
-}
-
 double conditional_mutual_information_ksg(
     const SampleMatrix& samples, const Block& a, const Block& b,
     const Block& c, const TransferEntropyOptions& options) {
   return conditional_mi_impl(samples, a, b, c, options.k, options.executor,
-                             options.threads, options.search, options.cache);
+                             options.search, options.cache);
 }
 
 double transfer_entropy(std::span<const double> source,
@@ -207,8 +187,7 @@ double transfer_entropy(std::span<const double> source,
   // The embedding matrix is local to this call, so any caller-provided
   // cache (bound to *their* matrix) must not be used here.
   return conditional_mi_impl(samples, future, src, present, options.k,
-                             options.executor, options.threads, options.search,
-                             nullptr);
+                             options.executor, options.search, nullptr);
 }
 
 namespace {
@@ -252,10 +231,9 @@ std::vector<std::vector<double>> transfer_entropy_matrix(
   }
 
   std::vector<std::vector<double>> matrix(n, std::vector<double>(n, 0.0));
-  // The pair fan-out is the parallel axis; each estimator call stays
-  // serial so the lent (or transient) workers are never oversubscribed.
+  // The pair fan-out is the parallel axis; each estimator call runs inline
+  // so the lent workers are never oversubscribed.
   TransferEntropyOptions inner = options;
-  inner.threads = 1;
   inner.executor = nullptr;
   const auto cell_body = [&](std::size_t cell) {
     const std::size_t a = cell / n;
@@ -263,11 +241,8 @@ std::vector<std::vector<double>> transfer_entropy_matrix(
     if (a == b) return;
     matrix[a][b] = transfer_entropy(series[a], series[b], 2, inner);
   };
-  if (options.executor != nullptr) {
-    support::parallel_for(*options.executor, 0, n * n, cell_body);
-  } else {
-    support::parallel_for(0, n * n, cell_body, options.threads);
-  }
+  support::parallel_for(support::executor_or_inline(options.executor), 0,
+                        n * n, cell_body);
   return matrix;
 }
 
@@ -294,7 +269,7 @@ double active_information_storage(std::span<const double> series,
   }
   KsgOptions ksg;
   ksg.k = options.k;
-  ksg.threads = options.threads;
+  ksg.threads = 1;  // a null executor runs inline, as everywhere here
   ksg.executor = options.executor;
   ksg.search = options.search;
   return multi_information_ksg(samples, dim, ksg);

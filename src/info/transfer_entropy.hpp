@@ -39,12 +39,10 @@ namespace sops::info {
 struct TransferEntropyOptions {
   std::size_t k = 4;        ///< neighbor order
   std::size_t lag = 1;      ///< time offset between "present" and "next"
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// When set, the estimator's parallel loops (per-sample queries; the TE
-  /// matrix's pair fan-out) dispatch on this executor and `threads` is
-  /// ignored — mirroring KsgOptions::executor, so batch analyses reuse one
-  /// persistent pool instead of forking workers per call. Never affects
-  /// the estimate.
+  /// The executor the estimator's parallel loops (per-sample queries; the
+  /// TE matrix's pair fan-out) dispatch on, so batch analyses reuse one
+  /// persistent pool; null runs them inline on the calling thread. Never
+  /// affects the estimate.
   support::Executor* executor = nullptr;
   /// Neighbor-search implementation (shared with KsgOptions); never affects
   /// the estimate.
@@ -59,24 +57,13 @@ struct TransferEntropyOptions {
 /// KSG/Frenzel–Pompe conditional mutual information I(A ; B | C) in bits.
 /// `samples` rows are joint draws; the three blocks partition the columns.
 /// The metric is the max over the three block L2 norms (consistent with the
-/// unconditional estimator).
+/// unconditional estimator). Takes k, the executor, the neighbor-search
+/// knob, and an optional FrameNeighborCache bound to `samples` (subspace
+/// trees are then shared with other estimator calls on the same matrix)
+/// from `options`; `lag` is unused.
 [[nodiscard]] double conditional_mutual_information_ksg(
     const SampleMatrix& samples, const Block& a, const Block& b,
-    const Block& c, std::size_t k = 4, std::size_t threads = 0);
-
-/// Executor-aware form: per-sample queries dispatch on the caller's lent
-/// executor instead of forking `threads` transient workers. Identical
-/// estimate for any width.
-[[nodiscard]] double conditional_mutual_information_ksg(
-    const SampleMatrix& samples, const Block& a, const Block& b,
-    const Block& c, std::size_t k, support::Executor& executor);
-
-/// Options form: takes k, threading, the neighbor-search knob, and an
-/// optional FrameNeighborCache bound to `samples` (subspace trees are then
-/// shared with other estimator calls on the same matrix). `lag` is unused.
-[[nodiscard]] double conditional_mutual_information_ksg(
-    const SampleMatrix& samples, const Block& a, const Block& b,
-    const Block& c, const TransferEntropyOptions& options);
+    const Block& c, const TransferEntropyOptions& options = {});
 
 /// Transfer entropy (bits) between two scalar-block time series.
 ///

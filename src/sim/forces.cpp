@@ -36,8 +36,9 @@ void accumulate_sharded(geom::NeighborBackend& backend,
   const std::span<const std::uint32_t> bounds =
       backend.shard_bounds(executor.width());
   const std::span<const std::uint32_t> order = backend.shard_order();
-  support::parallel_for_chunked(
-      executor, bounds, [&](std::size_t chunk_begin, std::size_t chunk_end) {
+  support::parallel_for_shards(
+      executor, bounds,
+      [&](std::size_t, std::size_t chunk_begin, std::size_t chunk_end) {
         if (order.empty()) {
           for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
             out[i] = drift_of(i);
@@ -168,16 +169,9 @@ void accumulate_drift(const ParticleSystem& system, const InteractionModel& mode
 void accumulate_drift(const ParticleSystem& system, const InteractionModel& model,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend) {
-  accumulate_drift(system, PairScalingTable(model), cutoff_radius, out, backend);
-}
-
-void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      geom::NeighborBackend& backend, std::size_t step_threads) {
-  // The fork-per-call path: a transient SpawnExecutor of the requested
-  // width. Same partition as the pooled overload, so same bits.
-  support::SpawnExecutor executor(step_threads);
-  accumulate_drift(system, table, cutoff_radius, out, backend, executor);
+  support::SerialExecutor serial;
+  accumulate_drift(system, PairScalingTable(model), cutoff_radius, out, backend,
+                   serial);
 }
 
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,

@@ -151,7 +151,7 @@ void accumulate_drift(const ParticleSystem& system, const InteractionModel& mode
 /// Drift accumulation through a persistent backend: rebuilds the backend
 /// for the current positions, then sums pair drifts in the backend's
 /// enumeration order — bitwise-identical to the matching NeighborMode path,
-/// but with no per-step index construction.
+/// but with no per-step index construction. Runs on the calling thread.
 void accumulate_drift(const ParticleSystem& system, const InteractionModel& model,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend);
@@ -159,26 +159,15 @@ void accumulate_drift(const ParticleSystem& system, const InteractionModel& mode
 /// Same, with a caller-cached scaling table — the engine's steady-state
 /// path: no allocation of any kind per step.
 ///
-/// `step_threads` (0 = hardware concurrency) shards the particle loop over
-/// the backend's cell-major partition (NeighborBackend::shard_bounds).
-/// Shards own disjoint particle ranges and every particle keeps its serial
-/// neighbor-enumeration order, so the result is bitwise-identical to
-/// `step_threads == 1` for any thread count and any partition. Backends
-/// outside this translation unit run serially regardless (their neighbor
-/// queries may share scratch state). This overload forks and joins
-/// transient workers every call (SpawnExecutor); the engine's hot loop uses
-/// the Executor overload below with a persistent pool instead.
-void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
-                      double cutoff_radius, std::vector<geom::Vec2>& out,
-                      geom::NeighborBackend& backend,
-                      std::size_t step_threads = 1);
-
-/// The pooled steady-state path: shard count and worker cap both come from
-/// `executor.width()`, so a run dispatches each step onto the same
-/// persistent runners (SimulationWorkspace owns or borrows them) with no
-/// per-step thread creation. Partition, enumeration order, and therefore
-/// results are bitwise-identical to the `step_threads` overload at the
-/// same width.
+/// The particle loop is sharded over the backend's cell-major partition
+/// (NeighborBackend::shard_bounds), with shard count and worker cap both
+/// taken from `executor.width()`; a run dispatches each step onto the same
+/// persistent runners (SimulationWorkspace owns or borrows them). Shards
+/// own disjoint particle ranges and every particle keeps its serial
+/// neighbor-enumeration order, so the result is bitwise-identical to a
+/// SerialExecutor run for any width and any partition. Backends outside
+/// this translation unit run serially regardless (their neighbor queries
+/// may share scratch state).
 void accumulate_drift(const ParticleSystem& system, const PairScalingTable& table,
                       double cutoff_radius, std::vector<geom::Vec2>& out,
                       geom::NeighborBackend& backend,

@@ -59,37 +59,10 @@ std::size_t default_thread_count() noexcept {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-// ---------------------------------------------------------- SpawnExecutor
-
-SpawnExecutor::SpawnExecutor(std::size_t width) noexcept
-    : width_(width == 0 ? default_thread_count() : width) {}
-
-void SpawnExecutor::run(std::size_t task_count, TaskRef task) {
-  if (task_count == 0) return;
-  const std::size_t helpers = std::min(width_ - 1, task_count - 1);
-  if (helpers == 0) {
-    for (std::size_t k = 0; k < task_count; ++k) task(k);
-    return;
-  }
-
-  detail::Job job(task, task_count);
-  std::vector<std::thread> threads;
-  threads.reserve(helpers);
-  try {
-    for (std::size_t w = 0; w < helpers; ++w) {
-      threads.emplace_back([&job] { job.drain(); });
-    }
-  } catch (...) {
-    // Thread exhaustion mid-spawn: finish the batch with whoever exists,
-    // join them, and surface the spawn failure (not std::terminate via a
-    // joinable thread's destructor).
-    job.drain();
-    for (std::thread& thread : threads) thread.join();
-    throw;
-  }
-  job.drain();
-  for (std::thread& thread : threads) thread.join();
-  if (job.first_error) std::rethrow_exception(job.first_error);
+Executor& executor_or_inline(Executor* executor) noexcept {
+  // SerialExecutor holds no state, so one instance serves every thread.
+  static SerialExecutor inline_executor;
+  return executor != nullptr ? *executor : inline_executor;
 }
 
 // ---------------------------------------------------------------- TaskPool

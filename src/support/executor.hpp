@@ -2,22 +2,24 @@
 //
 // An Executor runs a batch of independent tasks — in practice the chunks of
 // a partitioned index range — across a fixed set of runners: the calling
-// thread plus zero or more helpers. Three implementations cover the
-// engine's needs:
+// thread plus zero or more helpers. Two implementations cover the engine's
+// needs:
 //
 //  - SerialExecutor: width 1, runs tasks inline in index order. The choice
 //    whenever a budget resolves to one thread; keeps serial runs free of
 //    any threading machinery.
-//  - SpawnExecutor: transient helpers, created per dispatch and joined
-//    before it returns — the pre-pool fork/join behavior, kept as the
-//    baseline the pool's dispatch cost is benchmarked against and as the
-//    fallback for one-shot call sites that have no pool to reuse.
 //  - TaskPool + PoolExecutor: persistent parked workers woken per dispatch.
 //    One pool is sized per experiment from the resolved ThreadBudget; its
 //    workers can be *lent* as disjoint sub-executors, so an outer dispatch
 //    (ensemble samples, analyzer frames) hands each task its own slice for
 //    nested dispatches (intra-step drift shards, KSG sample chunks) without
 //    ever exceeding the pool's width in live threads.
+//
+// The rule for every parallel entry point of the library: it takes the
+// executor from its caller — by reference, or as a nullable pointer where
+// null means "run inline on the calling thread" (executor_or_inline).
+// Callers that want parallelism own a TaskPool. (KsgOptions::threads, which
+// builds a call-local pool when no executor is lent, is the one exception.)
 //
 // Type erasure happens once per dispatch at the task level (TaskRef); the
 // per-iteration body stays a template parameter of the parallel_for
@@ -93,22 +95,10 @@ class SerialExecutor final : public Executor {
   }
 };
 
-/// Transient-thread executor: each dispatch spawns up to width()-1 helper
-/// threads that drain the task batch alongside the caller and are joined
-/// before the dispatch returns. Live helpers are capped at
-/// min(width()-1, task_count-1) — a batch can never fan out wider than the
-/// executor, no matter how many tasks it holds.
-class SpawnExecutor final : public Executor {
- public:
-  /// `width` counts the calling thread; 0 selects default_thread_count().
-  explicit SpawnExecutor(std::size_t width = 0) noexcept;
-
-  [[nodiscard]] std::size_t width() const noexcept override { return width_; }
-  void run(std::size_t task_count, TaskRef task) override;
-
- private:
-  std::size_t width_;
-};
+/// The null-executor rule in one place: `executor` when the caller lends
+/// one, otherwise a shared stateless SerialExecutor (tasks run inline on the
+/// calling thread).
+[[nodiscard]] Executor& executor_or_inline(Executor* executor) noexcept;
 
 /// Chunk k of the contiguous equal partition of `count` items into
 /// `chunks` chunks — the one definition of that arithmetic, shared by the

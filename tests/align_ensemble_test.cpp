@@ -10,6 +10,7 @@
 #include "info/ksg.hpp"
 #include "rng/samplers.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
 
 namespace {
 
@@ -145,19 +146,22 @@ TEST(AlignEnsemble, DisablingRotationsKeepsCentering) {
   EXPECT_NEAR(cx, 0.0, 1e-9);
 }
 
-TEST(AlignEnsemble, ThreadCountDoesNotChangeResult) {
+TEST(AlignEnsemble, ExecutorWidthDoesNotChangeResult) {
+  // The inline run (null executor) and lent pools of every width give the
+  // same bits.
   const auto configs = molecule_ensemble(12, kTypes, 0.05, 19);
-  EnsembleOptions serial;
-  serial.threads = 1;
-  EnsembleOptions parallel;
-  parallel.threads = 4;
-  const AlignedEnsemble a = align_ensemble(configs, kTypes, serial);
-  const AlignedEnsemble b = align_ensemble(configs, kTypes, parallel);
-  for (std::size_t s = 0; s < a.sample_count(); ++s) {
-    const auto ra = a.samples.row(s);
-    const auto rb = b.samples.row(s);
-    for (std::size_t d = 0; d < a.samples.dim(); ++d) {
-      EXPECT_DOUBLE_EQ(ra[d], rb[d]);
+  const AlignedEnsemble a = align_ensemble(configs, kTypes);
+  for (std::size_t width = 1; width <= 4; ++width) {
+    sops::support::TaskPool pool(width);
+    EnsembleOptions pooled;
+    pooled.executor = &pool.executor();
+    const AlignedEnsemble b = align_ensemble(configs, kTypes, pooled);
+    for (std::size_t s = 0; s < a.sample_count(); ++s) {
+      const auto ra = a.samples.row(s);
+      const auto rb = b.samples.row(s);
+      for (std::size_t d = 0; d < a.samples.dim(); ++d) {
+        EXPECT_EQ(ra[d], rb[d]) << "width " << width;
+      }
     }
   }
 }

@@ -427,12 +427,12 @@ TEST(IcpParity, EnsembleIdenticalAcrossExecutorWidths) {
       EXPECT_TRUE(same_bits(
           flat(sops::align::align_ensemble(frame, series->types, pooled)),
           expected));
-      sops::align::EnsembleOptions spawned;
-      spawned.threads = width;
-      EXPECT_TRUE(same_bits(
-          flat(sops::align::align_ensemble(frame, series->types, spawned)),
-          expected));
     }
+    // The null executor: the whole alignment inline on this thread.
+    SCOPED_TRACE(testing::Message() << "n=" << series->particle_count()
+                                    << " inline");
+    EXPECT_TRUE(same_bits(
+        flat(sops::align::align_ensemble(frame, series->types)), expected));
   }
 }
 

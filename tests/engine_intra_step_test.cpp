@@ -73,12 +73,14 @@ TEST(IntraStepInvariance, DriftBitwiseAcrossThreadCounts) {
     std::vector<Vec2> reference;
     {
       const auto backend = sops::geom::make_neighbor_backend(kind);
-      accumulate_drift(system, table, 3.0, reference, *backend, 1);
+      sops::support::SerialExecutor serial;
+      accumulate_drift(system, table, 3.0, reference, *backend, serial);
     }
     for (const std::size_t threads : kThreadMatrix) {
       const auto backend = sops::geom::make_neighbor_backend(kind);
+      sops::support::TaskPool pool(threads);
       std::vector<Vec2> sharded;
-      accumulate_drift(system, table, 3.0, sharded, *backend, threads);
+      accumulate_drift(system, table, 3.0, sharded, *backend, pool.executor());
       ASSERT_EQ(reference.size(), sharded.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         ASSERT_EQ(reference[i], sharded[i])
@@ -89,17 +91,17 @@ TEST(IntraStepInvariance, DriftBitwiseAcrossThreadCounts) {
   }
 }
 
-TEST(IntraStepInvariance, PooledDriftBitwiseMatchesSerialAndSpawn) {
-  // The pooled dispatch (the engine's path) against the serial loop and the
-  // fork-per-call path, across pool widths — including widths far above the
-  // core count and a worker-starved pool against a wide shard partition.
+TEST(IntraStepInvariance, PooledDriftBitwiseMatchesSerial) {
+  // The pooled dispatch (the engine's path) against the serial loop, across
+  // pool widths — including widths far above the core count.
   const auto system = random_system(700, 19.0, 3, 123);
   const auto model = spring_model(3);
   const PairScalingTable table(model);
   std::vector<Vec2> reference;
   {
     sops::geom::CellGridBackend backend;
-    accumulate_drift(system, table, 3.0, reference, backend, 1);
+    sops::support::SerialExecutor serial;
+    accumulate_drift(system, table, 3.0, reference, backend, serial);
   }
   for (const std::size_t width : {2u, 3u, 8u, 32u}) {
     sops::support::TaskPool pool(width);
@@ -126,7 +128,8 @@ TEST(IntraStepInvariance, DriftAfterPartitionedThrowIsBitwiseUnaffected) {
   std::vector<Vec2> reference;
   {
     sops::geom::CellGridBackend backend;
-    accumulate_drift(system, table, 3.0, reference, backend, 1);
+    sops::support::SerialExecutor serial;
+    accumulate_drift(system, table, 3.0, reference, backend, serial);
   }
   sops::support::TaskPool pool(6);
   EXPECT_THROW(
@@ -161,7 +164,8 @@ TEST(IntraStepInvariance, WorkerStarvedPoolMatchesSerialOnManyShards) {
   const PairScalingTable table(model);
   std::vector<Vec2> reference;
   sops::geom::CellGridBackend serial_backend;
-  accumulate_drift(system, table, 3.0, reference, serial_backend, 1);
+  sops::support::SerialExecutor serial;
+  accumulate_drift(system, table, 3.0, reference, serial_backend, serial);
 
   sops::geom::CellGridBackend backend;
   backend.rebuild(system.lanes(), 3.0);
@@ -178,8 +182,9 @@ TEST(IntraStepInvariance, WorkerStarvedPoolMatchesSerialOnManyShards) {
   const double cutoff_sq = 3.0 * 3.0;
   sops::support::TaskPool pool(2);
   std::vector<Vec2> pooled(system.size());
-  sops::support::parallel_for_chunked(
-      pool.executor(), bounds, [&](std::size_t begin, std::size_t end) {
+  sops::support::parallel_for_shards(
+      pool.executor(), bounds,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         sops::geom::GatherScratch s;
         std::size_t c = static_cast<std::size_t>(
                             std::upper_bound(starts.begin(), starts.end(),

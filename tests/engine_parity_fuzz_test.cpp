@@ -28,6 +28,7 @@
 #include "sim/drift_kernel.hpp"
 #include "sim/forces.hpp"
 #include "sim/integrator.hpp"
+#include "support/executor.hpp"
 #include "support/simd.hpp"
 
 namespace {
@@ -176,11 +177,12 @@ TEST(ParityFuzz, VerletSkinTracksCellGridAlongTrajectoriesWithin1e12) {
     sops::rng::Xoshiro256 engine(0xBEE5 + c);
     std::vector<Vec2> grid_drift;
     std::vector<Vec2> verlet_drift;
+    sops::support::SerialExecutor serial;
     for (int step = 0; step < 25; ++step) {
       accumulate_drift(fuzz.system, table, fuzz.cutoff, grid_drift,
-                       grid_backend, std::size_t{1});
+                       grid_backend, serial);
       accumulate_drift(fuzz.system, table, fuzz.cutoff, verlet_drift,
-                       verlet_backend, std::size_t{1});
+                       verlet_backend, serial);
       for (std::size_t i = 0; i < fuzz.system.size(); ++i) {
         ASSERT_NEAR(grid_drift[i].x, verlet_drift[i].x, 1e-12)
             << "case " << c << " step " << step << " i " << i;
@@ -225,7 +227,8 @@ std::vector<Vec2> drift_under_policy(sops::support::SimdPolicy policy,
   const SimdPolicyGuard guard(policy);
   const auto backend = sops::geom::make_neighbor_backend(kind);
   std::vector<Vec2> out;
-  accumulate_drift(system, table, cutoff, out, *backend, std::size_t{1});
+  sops::support::SerialExecutor serial;
+  accumulate_drift(system, table, cutoff, out, *backend, serial);
   return out;
 }
 
@@ -440,9 +443,9 @@ TEST(SimdParity, AdaptivePartialVerletTrajectoriesBitwise) {
       sops::rng::Xoshiro256 engine(0xADA7 + c);
       std::vector<Vec2> drift;
       std::vector<Vec2> history;
+      sops::support::SerialExecutor serial;
       for (int step = 0; step < 25; ++step) {
-        accumulate_drift(system, table, fuzz.cutoff, drift, backend,
-                         std::size_t{1});
+        accumulate_drift(system, table, fuzz.cutoff, drift, backend, serial);
         history.insert(history.end(), drift.begin(), drift.end());
         sops::sim::apply_euler_maruyama_update(system, drift, params, engine);
       }
@@ -463,6 +466,8 @@ TEST(SimdParity, AdaptivePartialVerletTrajectoriesBitwise) {
 }
 
 TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
+  sops::support::SerialExecutor serial_executor;
+  sops::support::TaskPool pool(3);
   for (std::uint64_t c = 0; c < kCases; ++c) {
     const FuzzCase fuzz = draw_case(c);
     const PairScalingTable table(fuzz.model);
@@ -476,9 +481,9 @@ TEST(ParityFuzz, ShardedPathBitwiseEqualsSerialForEveryBackend) {
       std::vector<Vec2> serial;
       std::vector<Vec2> sharded;
       accumulate_drift(fuzz.system, table, fuzz.cutoff, serial,
-                       *serial_backend, 1);
+                       *serial_backend, serial_executor);
       accumulate_drift(fuzz.system, table, fuzz.cutoff, sharded,
-                       *sharded_backend, 3);
+                       *sharded_backend, pool.executor());
       ASSERT_EQ(serial.size(), sharded.size());
       for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(serial[i], sharded[i])

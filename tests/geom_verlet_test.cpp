@@ -196,6 +196,7 @@ TEST(VerletList, ShardedDriftIsBitwiseEqualToSerialAcrossRebuilds) {
   VerletListBackend serial_backend;
   VerletListBackend pooled_backend;
   sops::support::TaskPool pool(4);
+  sops::support::SerialExecutor serial;
   sops::sim::IntegratorParams params;
   sops::rng::Xoshiro256 serial_engine(5);
   sops::rng::Xoshiro256 pooled_engine(5);
@@ -207,7 +208,7 @@ TEST(VerletList, ShardedDriftIsBitwiseEqualToSerialAcrossRebuilds) {
   // steps move freely, so displacement-triggered rebuilds happen too.
   for (int step = 0; step < 20; ++step) {
     accumulate_drift(serial_system, table, cutoff, serial_drift, serial_backend,
-                     std::size_t{1});
+                     serial);
     accumulate_drift(pooled_system, table, cutoff, pooled_drift, pooled_backend,
                      pool.executor());
     for (std::size_t i = 0; i < n; ++i) {
@@ -394,6 +395,7 @@ TEST(VerletList, PartialStepDriftIsThreadInvariant) {
   configure(serial_backend);
   configure(pooled_backend);
   sops::support::TaskPool pool(4);
+  sops::support::SerialExecutor serial;
   sops::sim::IntegratorParams params;
   params.dt = 0.08;  // enough motion to trip runaways regularly
   sops::rng::Xoshiro256 serial_engine(11);
@@ -403,7 +405,7 @@ TEST(VerletList, PartialStepDriftIsThreadInvariant) {
 
   for (int step = 0; step < 30; ++step) {
     accumulate_drift(serial_system, table, cutoff, serial_drift, serial_backend,
-                     std::size_t{1});
+                     serial);
     accumulate_drift(pooled_system, table, cutoff, pooled_drift, pooled_backend,
                      pool.executor());
     for (std::size_t i = 0; i < n; ++i) {

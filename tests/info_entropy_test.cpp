@@ -104,6 +104,8 @@ TEST(KlEntropy, PreconditionsEnforced) {
   EXPECT_THROW((void)entropy_kl(samples, 5), sops::PreconditionError);
   EXPECT_THROW((void)entropy_kl_block(samples, Block{1, 1}, 2),
                sops::PreconditionError);
+  EXPECT_THROW((void)entropy_kl_block(samples, Block{0, 0}, 2),
+               sops::PreconditionError);
 }
 
 TEST(KlMultiInformation, AgreesWithGaussianOracle) {
@@ -127,20 +129,23 @@ TEST(KlMultiInformation, IndependentNearZero) {
   EXPECT_NEAR(multi_information_kl(samples, blocks, 4), 0.0, 0.15);
 }
 
-TEST(KlEntropy, LentExecutorMatchesThreadsForm) {
-  // The executor overloads (batch analyses lend a persistent pool) must be
-  // bit-identical to the transient fork/join forms: per-sample terms are
-  // reduced in a fixed order regardless of who computes them.
+TEST(KlEntropy, LentExecutorMatchesInline) {
+  // A lent pool (batch analyses reuse one across frames) must reproduce the
+  // inline run bit for bit: per-sample terms are reduced in a fixed order
+  // regardless of who computes them.
   const SampleMatrix samples = gaussian_samples(600, 4, 1.0, 11);
-  sops::support::TaskPool pool(3);
-  EXPECT_DOUBLE_EQ(entropy_kl(samples, 4, std::size_t{2}),
-                   entropy_kl(samples, 4, pool.executor()));
   const Block block{1, 2};
-  EXPECT_DOUBLE_EQ(entropy_kl_block(samples, block, 4, std::size_t{2}),
-                   entropy_kl_block(samples, block, 4, pool.executor()));
   const std::vector<Block> blocks{{0, 2}, {2, 2}};
-  EXPECT_DOUBLE_EQ(multi_information_kl(samples, blocks, 4, std::size_t{2}),
-                   multi_information_kl(samples, blocks, 4, pool.executor()));
+  const double joint = entropy_kl(samples, 4);
+  const double marginal = entropy_kl_block(samples, block, 4);
+  const double mi = multi_information_kl(samples, blocks, 4);
+  for (std::size_t width = 1; width <= 4; ++width) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    sops::support::TaskPool pool(width);
+    EXPECT_EQ(entropy_kl(samples, 4, &pool.executor()), joint);
+    EXPECT_EQ(entropy_kl_block(samples, block, 4, &pool.executor()), marginal);
+    EXPECT_EQ(multi_information_kl(samples, blocks, 4, &pool.executor()), mi);
+  }
 }
 
 }  // namespace

@@ -129,20 +129,26 @@ TEST(KdeMi, PreconditionsEnforced) {
   bad.bandwidth_scale = 0.0;
   EXPECT_THROW((void)multi_information_kde(ok, blocks, bad),
                sops::PreconditionError);
+  // The single-block entry point applies validate_blocks' rules itself.
+  EXPECT_THROW((void)kde_log2_density(ok, Block{1, 2}),
+               sops::PreconditionError);
+  EXPECT_THROW((void)kde_log2_density(ok, Block{0, 0}),
+               sops::PreconditionError);
 }
 
-TEST(KdeMultiInformation, LentExecutorMatchesThreadsForm) {
-  // KdeOptions::executor mirrors KsgOptions::executor: a lent persistent
-  // pool replaces per-call forks and never changes the estimate.
+TEST(KdeMultiInformation, LentExecutorMatchesInline) {
+  // A lent persistent pool never changes the estimate: the inline run and
+  // every pool width give the same bits.
   const SampleMatrix samples = correlated_pair(400, 0.8, 21);
   const std::vector<Block> blocks{{0, 1}, {1, 1}};
-  KdeOptions threaded;
-  threaded.threads = 2;
-  sops::support::TaskPool pool(3);
-  KdeOptions pooled;
-  pooled.executor = &pool.executor();
-  EXPECT_DOUBLE_EQ(multi_information_kde(samples, blocks, threaded),
-                   multi_information_kde(samples, blocks, pooled));
+  const double inline_mi = multi_information_kde(samples, blocks);
+  for (std::size_t width = 1; width <= 4; ++width) {
+    sops::support::TaskPool pool(width);
+    KdeOptions pooled;
+    pooled.executor = &pool.executor();
+    EXPECT_EQ(multi_information_kde(samples, blocks, pooled), inline_mi)
+        << "width " << width;
+  }
 }
 
 }  // namespace

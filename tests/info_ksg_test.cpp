@@ -9,6 +9,7 @@
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
 
 namespace {
 
@@ -135,13 +136,22 @@ TEST(Ksg, InvariantUnderRigidShiftOfABlock) {
 }
 
 TEST(Ksg, ThreadCountDoesNotChangeResult) {
+  // KsgOptions::threads sizes a call-local pool when no executor is lent;
+  // neither that width nor a lent pool's width may change a bit.
   const SampleMatrix samples = correlated_pair(300, 0.6, 91);
   KsgOptions serial;
   serial.threads = 1;
+  const double expected = multi_information_ksg(samples, 1, serial);
   KsgOptions parallel;
   parallel.threads = 4;
-  EXPECT_DOUBLE_EQ(multi_information_ksg(samples, 1, serial),
-                   multi_information_ksg(samples, 1, parallel));
+  EXPECT_EQ(multi_information_ksg(samples, 1, parallel), expected);
+  for (std::size_t width = 1; width <= 4; ++width) {
+    sops::support::TaskPool pool(width);
+    KsgOptions lent;
+    lent.executor = &pool.executor();
+    EXPECT_EQ(multi_information_ksg(samples, 1, lent), expected)
+        << "width " << width;
+  }
 }
 
 TEST(Ksg, ConventionsDifferByBoundedBias) {

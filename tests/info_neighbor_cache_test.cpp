@@ -94,11 +94,11 @@ TEST(NeighborCache, EntropyCacheMatchesExhaustiveBitwise) {
   for (const std::size_t duplicates : {std::size_t{0}, std::size_t{5}}) {
     const SampleMatrix samples = fuzzed_matrix(40, 4, 13, duplicates);
     FrameNeighborCache cache(samples);
-    EXPECT_EQ(entropy_kl(samples, 4, pool.executor(), &cache),
-              entropy_kl(samples, 4, pool.executor()));
+    EXPECT_EQ(entropy_kl(samples, 4, &pool.executor(), &cache),
+              entropy_kl(samples, 4, &pool.executor()));
     const Block block{2, 2};
-    EXPECT_EQ(entropy_kl_block(samples, block, 4, pool.executor(), &cache),
-              entropy_kl_block(samples, block, 4, pool.executor()));
+    EXPECT_EQ(entropy_kl_block(samples, block, 4, &pool.executor(), &cache),
+              entropy_kl_block(samples, block, 4, &pool.executor()));
   }
 }
 

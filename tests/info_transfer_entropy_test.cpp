@@ -138,14 +138,16 @@ TEST(TransferEntropy, VectorValuedSeries) {
   EXPECT_GT(forward, backward + 0.3);
 }
 
-TEST(TransferEntropy, ThreadCountDoesNotChangeResult) {
+TEST(TransferEntropy, ExecutorWidthDoesNotChangeResult) {
   const CoupledSeries series = coupled_ar(800, 0.6, 23);
-  TransferEntropyOptions serial;
-  serial.threads = 1;
-  TransferEntropyOptions parallel;
-  parallel.threads = 4;
-  EXPECT_DOUBLE_EQ(transfer_entropy(series.x, series.y, 1, serial),
-                   transfer_entropy(series.x, series.y, 1, parallel));
+  const double inline_te = transfer_entropy(series.x, series.y, 1);
+  for (std::size_t width = 1; width <= 4; ++width) {
+    sops::support::TaskPool pool(width);
+    TransferEntropyOptions pooled;
+    pooled.executor = &pool.executor();
+    EXPECT_EQ(transfer_entropy(series.x, series.y, 1, pooled), inline_te)
+        << "width " << width;
+  }
 }
 
 TEST(TransferEntropy, LagTwoCoupling) {
@@ -249,20 +251,42 @@ TEST(ActiveInformationStorage, ParticleHelperRuns) {
   EXPECT_GT(sops::info::particle_active_information_storage(frames, 0), 0.3);
 }
 
-TEST(TransferEntropy, LentExecutorMatchesThreadsForm) {
-  // TransferEntropyOptions::executor mirrors KsgOptions::executor; the
-  // estimate never depends on who runs the per-sample queries.
+TEST(TransferEntropy, LentExecutorMatchesInline) {
+  // TransferEntropyOptions::executor: the estimate never depends on who runs
+  // the per-sample queries or the TE matrix's pair fan-out — the inline run
+  // and every pool width give the same bits.
   const CoupledSeries series = coupled_ar(400, 0.8, 9);
-  TransferEntropyOptions threaded;
-  threaded.threads = 2;
-  sops::support::TaskPool pool(3);
-  TransferEntropyOptions pooled;
-  pooled.executor = &pool.executor();
-  EXPECT_DOUBLE_EQ(transfer_entropy(series.x, series.y, 1, threaded),
-                   transfer_entropy(series.x, series.y, 1, pooled));
-  EXPECT_DOUBLE_EQ(
-      sops::info::active_information_storage(series.y, 1, threaded),
-      sops::info::active_information_storage(series.y, 1, pooled));
+  std::vector<std::vector<sops::geom::Vec2>> frames;
+  for (std::size_t t = 0; t < 120; ++t) {
+    frames.push_back({{series.x[t], series.y[t]},
+                      {series.y[t], series.x[t + 1]},
+                      {series.x[t + 2], 0.5 * series.y[t]}});
+  }
+  SampleMatrix samples(series.x.size(), 3);
+  for (std::size_t s = 0; s < series.x.size(); ++s) {
+    samples(s, 0) = series.x[s];
+    samples(s, 1) = series.y[s];
+    samples(s, 2) = series.x[s] - series.y[s];
+  }
+  const double te = transfer_entropy(series.x, series.y, 1);
+  const double ais = sops::info::active_information_storage(series.y, 1);
+  const double cmi = conditional_mutual_information_ksg(
+      samples, Block{0, 1}, Block{1, 1}, Block{2, 1});
+  const auto matrix = sops::info::transfer_entropy_matrix(frames);
+  for (std::size_t width = 1; width <= 4; ++width) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    sops::support::TaskPool pool(width);
+    TransferEntropyOptions pooled;
+    pooled.executor = &pool.executor();
+    EXPECT_EQ(transfer_entropy(series.x, series.y, 1, pooled), te);
+    EXPECT_EQ(sops::info::active_information_storage(series.y, 1, pooled),
+              ais);
+    EXPECT_EQ(conditional_mutual_information_ksg(samples, Block{0, 1},
+                                                 Block{1, 1}, Block{2, 1},
+                                                 pooled),
+              cmi);
+    EXPECT_EQ(sops::info::transfer_entropy_matrix(frames, pooled), matrix);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // disjoint-lending pattern the engine's sample × step nesting relies on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -11,7 +10,6 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "support/cancel.hpp"
@@ -23,7 +21,6 @@ namespace {
 using sops::support::Executor;
 using sops::support::PoolExecutor;
 using sops::support::SerialExecutor;
-using sops::support::SpawnExecutor;
 using sops::support::TaskPool;
 
 TEST(SerialExecutorTest, RunsTasksInlineInOrder) {
@@ -270,44 +267,22 @@ TEST(TaskPoolTest, LendClampsToTheWorkerRange) {
   EXPECT_EQ(pool.lend(0, 0).width(), 1u);   // explicit caller-only view
 }
 
-TEST(SpawnExecutorTest, CapsLiveWorkersAtWidth) {
-  // The historical explicit-partition overload spawned one thread per
-  // chunk; the executor must bound distinct runners by its width no matter
-  // how many tasks the batch holds.
-  SpawnExecutor executor(3);
-  const std::size_t count = 64;
-  std::vector<std::atomic<int>> visits(count);
-  std::mutex ids_mutex;
-  std::set<std::thread::id> ids;
+TEST(ExecutorOrInline, NullRunsInlineOnTheCaller) {
+  Executor& inline_executor = sops::support::executor_or_inline(nullptr);
+  EXPECT_EQ(inline_executor.width(), 1u);
+  std::vector<std::size_t> order;
+  std::thread::id runner;
   auto task = [&](std::size_t k) {
-    visits[k].fetch_add(1);
-    const std::lock_guard<std::mutex> lock(ids_mutex);
-    ids.insert(std::this_thread::get_id());
+    order.push_back(k);
+    runner = std::this_thread::get_id();
   };
-  executor.run(count, task);
-  for (std::size_t k = 0; k < count; ++k) EXPECT_EQ(visits[k].load(), 1) << k;
-  EXPECT_LE(ids.size(), 3u);
-}
+  inline_executor.run(3, task);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(runner, std::this_thread::get_id());
 
-TEST(SpawnExecutorTest, MatchesPooledResultsBitwise) {
-  // Same partition arithmetic + disjoint chunk outputs → the executor
-  // choice can never change bits. Fill a buffer through both and compare.
-  const std::size_t count = 1000;
-  auto fill = [&](Executor& executor) {
-    std::vector<double> out(count, 0.0);
-    sops::support::parallel_for(executor, 0, count, [&](std::size_t i) {
-      out[i] = static_cast<double>(i) * 1.75 + 0.5;
-    });
-    return out;
-  };
-  SpawnExecutor spawn(4);
-  TaskPool pool(4);
-  SerialExecutor serial;
-  const std::vector<double> spawn_out = fill(spawn);
-  const std::vector<double> pool_out = fill(pool.executor());
-  const std::vector<double> serial_out = fill(serial);
-  EXPECT_EQ(spawn_out, serial_out);
-  EXPECT_EQ(pool_out, serial_out);
+  TaskPool pool(3);
+  EXPECT_EQ(&sops::support::executor_or_inline(&pool.executor()),
+            &pool.executor());
 }
 
 TEST(ParallelForExecutor, ExplicitPartitionCapsWorkersAtExecutorWidth) {
@@ -319,9 +294,9 @@ TEST(ParallelForExecutor, ExplicitPartitionCapsWorkersAtExecutorWidth) {
   std::vector<std::atomic<int>> visits(n);
   std::mutex ids_mutex;
   std::set<std::thread::id> ids;
-  sops::support::parallel_for_chunked(
+  sops::support::parallel_for_shards(
       pool.executor(), std::span<const std::uint32_t>(bounds),
-      [&](std::size_t begin, std::size_t end) {
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
         const std::lock_guard<std::mutex> lock(ids_mutex);
         ids.insert(std::this_thread::get_id());
@@ -463,34 +438,6 @@ TEST(CancelTokenTest, RequestFromAnotherThreadIsSeenByPollers) {
   token.request();
   poller.join();  // terminates only if the raise became visible
   EXPECT_TRUE(token.requested());
-}
-
-TEST(ParallelForExecutor, PoolAndLegacyChunkingAgree) {
-  // The Executor& and thread-count forms must produce the identical
-  // contiguous partition: record chunk boundaries through both.
-  const std::size_t count = 103;
-  const std::size_t width = 4;
-  auto partition_of = [&](auto dispatch) {
-    std::mutex chunks_mutex;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    dispatch([&](std::size_t begin, std::size_t end) {
-      const std::lock_guard<std::mutex> lock(chunks_mutex);
-      chunks.emplace_back(begin, end);
-    });
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  TaskPool pool(width);
-  const auto pooled = partition_of([&](auto body) {
-    sops::support::parallel_for_chunked(pool.executor(), 10, 10 + count, body);
-  });
-  const auto legacy = partition_of([&](auto body) {
-    sops::support::parallel_for_chunked(10, 10 + count, body, width);
-  });
-  EXPECT_EQ(pooled, legacy);
-  ASSERT_EQ(pooled.size(), width);
-  EXPECT_EQ(pooled.front().first, 10u);
-  EXPECT_EQ(pooled.back().second, 10u + count);
 }
 
 }  // namespace
