@@ -128,8 +128,13 @@ struct JobSampleEvent {
 };
 
 /// Optional per-job event hooks. Called outside the manager's lock, from
-/// scheduler or sample-worker threads — handlers must be thread-safe and
-/// must not call back into the manager's blocking APIs (wait).
+/// scheduler, sample-worker or cancelling threads (~JobManager's too, for
+/// jobs it cancels while queued) — handlers must be thread-safe and must
+/// not throw. A non-terminal event must not call wait(). The terminal
+/// on_state_change (exactly one per job) may call wait() on its own job:
+/// the job is already terminal, so wait() returns at once with the outcome
+/// (kDone) or throws the job's named Error (kFailed) or
+/// sops::CancelledError (kCancelled, including by ~JobManager).
 struct JobEvents {
   std::function<void(const JobStatus&)> on_state_change;
   std::function<void(const JobSampleEvent&)> on_sample_done;

@@ -13,9 +13,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -372,6 +375,94 @@ TEST(CoreJobManager, ShutdownTokenCancelsRunningJobs) {
   const std::uint64_t id = manager.submit(small_job(2, 8, 4000), options);
   manager.shutdown_token().request();  // what a SIGINT handler does
   EXPECT_THROW((void)manager.wait(id), CancelledError);
+}
+
+// ---------------------------------------------- terminal-event contract
+
+// What each job's terminal on_state_change got back when it called wait()
+// on its own job: "outcome", "cancelled: <why>" or "error: <why>".
+struct TerminalWaits {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::map<std::uint64_t, std::string> seen;
+};
+
+JobOptions wait_in_terminal_event(JobManager* manager, TerminalWaits* waits) {
+  JobOptions options;
+  options.analysis = JobAnalysis::kPostHoc;
+  options.events.on_state_change = [manager, waits](const JobStatus& status) {
+    if (!sops::core::is_terminal(status.state)) return;
+    std::string result;
+    try {
+      const JobOutcome outcome = manager->wait(status.id);
+      result = outcome.analysis.has_value() ? "outcome" : "outcome (none)";
+    } catch (const CancelledError& cancelled) {
+      result = std::string("cancelled: ") + cancelled.what();
+    } catch (const Error& error) {
+      result = std::string("error: ") + error.what();
+    }
+    {
+      const std::lock_guard<std::mutex> lock(waits->mutex);
+      waits->seen[status.id] = result;
+    }
+    waits->cv.notify_all();
+  };
+  return options;
+}
+
+// The result job `id`'s terminal event recorded; "<none>" if it never did
+// within a minute (a deadlocked wait()).
+std::string terminal_wait_of(TerminalWaits& waits, std::uint64_t id) {
+  std::unique_lock<std::mutex> lock(waits.mutex);
+  waits.cv.wait_for(lock, std::chrono::seconds(60),
+                    [&] { return waits.seen.count(id) > 0; });
+  return waits.seen.count(id) > 0 ? waits.seen[id] : "<none>";
+}
+
+TEST(CoreJobManager, TerminalEventMayWaitOnItsOwnJob) {
+  TerminalWaits waits;
+  JobManager manager(JobLimits{.machine_threads = 2, .job_slots = 1});
+  const JobOptions options = wait_in_terminal_event(&manager, &waits);
+
+  // Done: the terminal event takes the outcome, so it is gone afterwards.
+  const std::uint64_t done = manager.submit(small_job(5), options);
+  EXPECT_EQ(terminal_wait_of(waits, done), "outcome");
+  EXPECT_THROW((void)manager.wait(done), Error);
+
+  // Failed: the job's named error.
+  const std::uint64_t failed = manager.submit(small_job(5, 0), options);
+  const std::string failure = terminal_wait_of(waits, failed);
+  EXPECT_EQ(failure.rfind("error: ", 0), 0u) << failure;
+  EXPECT_NE(failure.find("at least 1 sample"), std::string::npos) << failure;
+
+  // Cancelled while queued behind a long job: the event fires on the
+  // cancelling thread, inside cancel().
+  const std::uint64_t running = manager.submit(small_job(7, 8, 4000), options);
+  const std::uint64_t queued = manager.submit(small_job(6, 4), options);
+  EXPECT_TRUE(manager.cancel(queued));
+  EXPECT_EQ(terminal_wait_of(waits, queued),
+            "cancelled: job cancelled while queued");
+  manager.cancel(running);
+  const std::string stopped = terminal_wait_of(waits, running);
+  EXPECT_TRUE(stopped.rfind("cancelled: ", 0) == 0 || stopped == "outcome")
+      << stopped;
+}
+
+TEST(CoreJobManager, TerminalEventMayWaitDuringManagerDestruction) {
+  TerminalWaits waits;  // outlives the manager and its last callbacks
+  std::uint64_t running = 0;
+  std::uint64_t queued = 0;
+  {
+    JobManager manager(JobLimits{.machine_threads = 2, .job_slots = 1});
+    const JobOptions options = wait_in_terminal_event(&manager, &waits);
+    running = manager.submit(small_job(7, 8, 4000), options);
+    queued = manager.submit(small_job(6, 4), options);
+  }
+  EXPECT_EQ(terminal_wait_of(waits, queued),
+            "cancelled: job cancelled: manager shutting down");
+  const std::string stopped = terminal_wait_of(waits, running);
+  EXPECT_TRUE(stopped.rfind("cancelled: ", 0) == 0 || stopped == "outcome")
+      << stopped;
 }
 
 // --------------------------------------------------------- serialization

@@ -1,7 +1,10 @@
 // End-to-end daemon smoke test: spawn the real `sopsd` binary, talk the
 // real wire protocol, and hold it to the layer's core promise — a job
 // streamed out of the daemon is byte-identical to the same config run in
-// batch, and a cancelled neighbor job doesn't perturb it.
+// batch, a cancelled neighbor job doesn't perturb it, a late watcher
+// replays the identical frame sequence, the daemon's memory stays flat
+// across many jobs, malformed numeric flags are refused with exit 2, and
+// the client turns a malformed sample frame into a named error.
 //
 // The `integration_` prefix keeps this out of the CI TSan regex: the test
 // forks+execs a child process, which TSan interceptors do not survive.
@@ -11,13 +14,16 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -70,35 +76,50 @@ Frame exchange(const std::string& socket_path, FrameType type,
   return *reply;
 }
 
-pid_t spawn_daemon(const std::string& socket_path,
-                   const std::string& spill_dir) {
+// Forks and execs `binary` (a tool built next to this test; ctest runs
+// from the build root) with `args`. The argv array is built before fork,
+// so the child only calls async-signal-safe functions; _exit on failure —
+// never return into gtest.
+pid_t spawn_tool(const char* binary, const std::vector<std::string>& args) {
+  std::vector<char*> argv{const_cast<char*>(binary)};
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
   const pid_t pid = ::fork();
   if (pid == 0) {
-    // Child: exec the daemon built next to this test (ctest runs from the
-    // build root). _exit on failure — never return into gtest.
-    ::execl("./sopsd", "sopsd", "--socket", socket_path.c_str(), "--slots",
-            "2", "--spill-dir", spill_dir.c_str(),
-            static_cast<char*>(nullptr));
+    ::execv(binary, argv.data());
     ::_exit(127);
   }
   return pid;
 }
 
-bool wait_for_socket(const std::string& socket_path, pid_t daemon) {
+// Starts sopsd on a fresh socket and spill directory with `extra_args` and
+// waits up to 30 s for it to listen. Returns its pid, or -1 — the child
+// killed and reaped — when it never came up.
+pid_t start_daemon(const std::string& socket_path, const std::string& spill_dir,
+                   std::vector<std::string> extra_args) {
+  std::filesystem::create_directories(spill_dir);
+  std::filesystem::remove(socket_path);
+  extra_args.insert(extra_args.begin(),
+                    {"--socket", socket_path, "--spill-dir", spill_dir});
+  const pid_t daemon = spawn_tool("./sopsd", extra_args);
+  if (daemon <= 0) return -1;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline) {
     int status = 0;
-    if (::waitpid(daemon, &status, WNOHANG) != 0) return false;  // died
+    if (::waitpid(daemon, &status, WNOHANG) != 0) return -1;  // died
     try {
-      const int fd = sops::io::connect_unix(socket_path);
-      ::close(fd);
-      return true;
+      ::close(sops::io::connect_unix(socket_path));
+      return daemon;
     } catch (const sops::Error&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
-  return false;
+  ::kill(daemon, SIGKILL);
+  ::waitpid(daemon, nullptr, 0);
+  return -1;
 }
 
 std::uint64_t parse_submitted_id(const Frame& reply) {
@@ -106,21 +127,38 @@ std::uint64_t parse_submitted_id(const Frame& reply) {
   return std::stoull(reply.payload);
 }
 
+// Watches a job to its job_done frame and returns every frame in order;
+// the server must close the connection right after job_done.
+std::vector<Frame> watch_frames(const std::string& socket_path,
+                                std::uint64_t id) {
+  std::vector<Frame> frames;
+  const int fd = sops::io::connect_unix(socket_path);
+  sops::io::write_frame(fd, FrameType::kWatch, std::to_string(id));
+  for (;;) {
+    auto frame = sops::io::read_frame(fd);
+    if (!frame.has_value()) {
+      ADD_FAILURE() << "watch stream ended before job_done";
+      break;
+    }
+    frames.push_back(std::move(*frame));
+    if (frames.back().type == FrameType::kJobDone) {
+      EXPECT_FALSE(sops::io::read_frame(fd).has_value())
+          << "job_done must end the stream";
+      break;
+    }
+  }
+  ::close(fd);
+  return frames;
+}
+
 TEST(IntegrationDaemon, StreamedJobMatchesBatchWhileNeighborIsCancelled) {
   const std::string socket_path = temp_path("sopsd_itest.sock");
   const std::string spill_dir = temp_path("sopsd_itest_spill");
-  std::filesystem::create_directories(spill_dir);
-  std::filesystem::remove(socket_path);
 
   // Fork while this process is still single-threaded.
-  const pid_t daemon = spawn_daemon(socket_path, spill_dir);
-  ASSERT_GT(daemon, 0);
-  if (!wait_for_socket(socket_path, daemon)) {
-    ::kill(daemon, SIGKILL);
-    int status = 0;
-    ::waitpid(daemon, &status, 0);
-    FAIL() << "sopsd did not come up (is ./sopsd next to the test cwd?)";
-  }
+  const pid_t daemon = start_daemon(socket_path, spill_dir, {"--slots", "2"});
+  ASSERT_GT(daemon, 0) << "sopsd did not come up (is ./sopsd next to the "
+                          "test cwd?)";
 
   // Submit the long job first so it occupies a slot, then the small one.
   const std::uint64_t long_id = parse_submitted_id(
@@ -135,48 +173,47 @@ TEST(IntegrationDaemon, StreamedJobMatchesBatchWhileNeighborIsCancelled) {
   EXPECT_EQ(cancel_reply.type, FrameType::kStatusReport) << cancel_reply.payload;
 
   // Watch the small job to completion, collecting the streamed bytes.
+  const std::vector<Frame> live = watch_frames(socket_path, small_id);
   std::map<std::size_t, std::string> sample_csv;  // sample index → bytes
   std::string curve_csv;
   std::string final_status;
   std::size_t events_seen = 0;
-  {
-    const int fd = sops::io::connect_unix(socket_path);
-    sops::io::write_frame(fd, FrameType::kWatch, std::to_string(small_id));
-    for (;;) {
-      const auto frame = sops::io::read_frame(fd);
-      ASSERT_TRUE(frame.has_value()) << "watch stream ended before job_done";
-      if (frame->type == FrameType::kJobEvent) {
-        ++events_seen;
-      } else if (frame->type == FrameType::kSampleCsv) {
-        // Payload: "job=N sample=K done=D total=T\n" + CSV bytes.
-        const std::size_t eol = frame->payload.find('\n');
-        ASSERT_NE(eol, std::string::npos);
-        const std::string meta = frame->payload.substr(0, eol);
-        const std::size_t pos = meta.find("sample=");
-        ASSERT_NE(pos, std::string::npos) << meta;
-        const std::size_t sample = std::stoul(meta.substr(pos + 7));
-        EXPECT_EQ(sample_csv.count(sample), 0u)
-            << "sample " << sample << " streamed twice";
-        sample_csv[sample] = frame->payload.substr(eol + 1);
-      } else if (frame->type == FrameType::kCurveCsv) {
-        EXPECT_TRUE(curve_csv.empty());
-        curve_csv = frame->payload;
-      } else if (frame->type == FrameType::kJobDone) {
-        final_status = frame->payload;
-        break;
-      } else {
-        FAIL() << "unexpected frame type "
-               << sops::io::to_string(frame->type) << ": " << frame->payload;
-      }
+  for (const Frame& frame : live) {
+    if (frame.type == FrameType::kJobEvent) {
+      ++events_seen;
+    } else if (frame.type == FrameType::kSampleCsv) {
+      // Payload: "job=N sample=K done=D total=T\n" + CSV bytes.
+      const std::size_t eol = frame.payload.find('\n');
+      ASSERT_NE(eol, std::string::npos);
+      const std::string meta = frame.payload.substr(0, eol);
+      const std::size_t pos = meta.find("sample=");
+      ASSERT_NE(pos, std::string::npos) << meta;
+      const std::size_t sample = std::stoul(meta.substr(pos + 7));
+      EXPECT_EQ(sample_csv.count(sample), 0u)
+          << "sample " << sample << " streamed twice";
+      sample_csv[sample] = frame.payload.substr(eol + 1);
+    } else if (frame.type == FrameType::kCurveCsv) {
+      EXPECT_TRUE(curve_csv.empty());
+      curve_csv = frame.payload;
+    } else if (frame.type == FrameType::kJobDone) {
+      final_status = frame.payload;
+    } else {
+      FAIL() << "unexpected frame type " << sops::io::to_string(frame.type)
+             << ": " << frame.payload;
     }
-    // job_done terminates the stream; the server closes the connection.
-    EXPECT_FALSE(sops::io::read_frame(fd).has_value());
-    ::close(fd);
   }
   EXPECT_NE(final_status.find("\"state\":\"done\""), std::string::npos)
       << final_status;
   EXPECT_GT(events_seen, 0u);
   EXPECT_FALSE(curve_csv.empty()) << "curve frame must precede job_done";
+
+  // A watcher attaching after job_done replays the identical sequence.
+  const std::vector<Frame> replay = watch_frames(socket_path, small_id);
+  ASSERT_EQ(replay.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(replay[i].type, live[i].type) << "frame " << i;
+    EXPECT_EQ(replay[i].payload, live[i].payload) << "frame " << i;
+  }
 
   // The cancelled neighbor must report a terminal cancelled state.
   const auto cancel_deadline =
@@ -227,6 +264,144 @@ TEST(IntegrationDaemon, StreamedJobMatchesBatchWhileNeighborIsCancelled) {
     EXPECT_NE(entry.path().extension(), ".spill")
         << "leaked spill file: " << entry.path();
   }
+  std::filesystem::remove_all(spill_dir);
+}
+
+// Waits up to `seconds` for the child to exit; SIGKILLs it past that.
+// Returns the waitpid status, or -1 if it had to be killed.
+int wait_exit(pid_t pid, int seconds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return status;
+}
+
+TEST(IntegrationDaemon, MalformedNumericFlagsExitWithUsage) {
+  const std::string socket_path = temp_path("sopsd_flags.sock");
+  std::filesystem::remove(socket_path);
+  const std::vector<std::vector<std::string>> bad_flags{
+      {"--slots", "abc"},
+      {"--threads", "-1"},
+      {"--slots", "4x"},
+      {"--mem-mb", "99999999999999999999"},  // past 64 bits
+      {"--mem-mb", "17592186044416"},        // 2^44: wraps once << 20
+      {"--slots"},                           // value missing
+  };
+  for (std::vector<std::string> args : bad_flags) {
+    args.insert(args.begin(), {"--socket", socket_path});
+    const pid_t daemon = spawn_tool("./sopsd", args);
+    ASSERT_GT(daemon, 0);
+    const int status = wait_exit(daemon, 10);
+    ASSERT_NE(status, -1) << "sopsd started with " << args[2];
+    EXPECT_TRUE(WIFEXITED(status)) << args[2] << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args[2];
+  }
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+// `sops_run watch --save` against a peer that streams a sample_csv frame
+// whose header has no parsable sample index: a named error and exit 1,
+// not std::terminate.
+TEST(IntegrationDaemon, ClientRejectsMalformedSampleFrame) {
+  const std::string socket_path = temp_path("sopsd_fake.sock");
+  const std::string save_dir = temp_path("sopsd_fake_save");
+  std::filesystem::create_directories(save_dir);
+  std::filesystem::remove(socket_path);
+  const int listen_fd = sops::io::listen_unix(socket_path);
+  const pid_t client = spawn_tool(
+      "./sops_run",
+      {"watch", "1", "--socket", socket_path, "--save", save_dir});
+  ASSERT_GT(client, 0);
+  pollfd ready{listen_fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&ready, 1, 30000), 1) << "sops_run never connected";
+  const int peer = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  const auto request = sops::io::read_frame(peer);
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->type, FrameType::kWatch);
+  sops::io::write_frame(peer, FrameType::kSampleCsv,
+                        "job=1 sample=x done=1 total=1\nframe,step\n");
+  const int status = wait_exit(client, 30);
+  ::close(peer);
+  ::close(listen_fd);
+  std::filesystem::remove(socket_path);
+  std::filesystem::remove_all(save_dir);
+  ASSERT_NE(status, -1) << "sops_run hung on a malformed frame";
+  EXPECT_TRUE(WIFEXITED(status)) << "sops_run killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+
+std::size_t count_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+std::size_t vm_size_kb(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+// Every finished job must hand back its threads' stacks: after a warm-up
+// (malloc arenas, the stack cache and the pool settle), 30 more submit +
+// watch jobs may not grow the daemon's mappings or address space. A
+// leaked joinable thread costs ~2 mappings and 8 MiB of stack apiece.
+TEST(IntegrationDaemon, MemoryStaysFlatAcrossManyJobs) {
+  const std::string socket_path = temp_path("sopsd_flat.sock");
+  const std::string spill_dir = temp_path("sopsd_flat_spill");
+  const pid_t daemon = start_daemon(socket_path, spill_dir,
+                                    {"--threads", "4", "--slots", "2"});
+  ASSERT_GT(daemon, 0) << "sopsd did not come up";
+  const std::string maps = "/proc/" + std::to_string(daemon) + "/maps";
+  if (count_lines(maps) == 0) {
+    ::kill(daemon, SIGKILL);
+    ::waitpid(daemon, nullptr, 0);
+    GTEST_SKIP() << "no readable " << maps;
+  }
+
+  const auto run_jobs = [&](std::size_t count) {
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::uint64_t id = parse_submitted_id(
+          exchange(socket_path, FrameType::kSubmit, kSmallConfig));
+      const std::vector<Frame> frames = watch_frames(socket_path, id);
+      ASSERT_FALSE(frames.empty());
+      EXPECT_NE(frames.back().payload.find("\"state\":\"done\""),
+                std::string::npos)
+          << frames.back().payload;
+    }
+  };
+  run_jobs(20);
+  const std::size_t maps_before = count_lines(maps);
+  const std::size_t vm_before_kb = vm_size_kb(daemon);
+  constexpr std::size_t kJobs = 30;
+  run_jobs(kJobs);
+  const std::size_t maps_after = count_lines(maps);
+  const std::size_t vm_after_kb = vm_size_kb(daemon);
+
+  EXPECT_LT(maps_after, maps_before + kJobs)
+      << "mappings grew from " << maps_before << " to " << maps_after
+      << " over " << kJobs << " jobs";
+  EXPECT_LT(vm_after_kb, vm_before_kb + 256 * 1024)
+      << "VmSize grew from " << vm_before_kb << " kB to " << vm_after_kb
+      << " kB over " << kJobs << " jobs";
+
+  ASSERT_EQ(::kill(daemon, SIGTERM), 0);
+  const int status = wait_exit(daemon, 120);
+  ASSERT_NE(status, -1) << "sopsd did not drain on SIGTERM";
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
   std::filesystem::remove_all(spill_dir);
 }
 

@@ -68,6 +68,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -76,6 +77,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/config_builder.hpp"
@@ -226,47 +228,39 @@ void write_file(const std::string& path, const std::string& contents) {
   }
 }
 
-int cmd_submit(const std::string& socket_path, const std::string& config_path) {
+/// One request/reply exchange: prints `prefix` + the reply payload
+/// (newline-terminated) when it is of type `success`, the payload as an
+/// error otherwise.
+int cmd_request(const std::string& socket_path, sops::io::FrameType type,
+                const std::string& payload, sops::io::FrameType success,
+                const char* prefix = "") {
   const ClientConnection connection(socket_path);
-  sops::io::write_frame(connection.fd, sops::io::FrameType::kSubmit,
-                        read_file(config_path));
+  sops::io::write_frame(connection.fd, type, payload);
   const auto reply = sops::io::read_frame(connection.fd);
   if (!reply.has_value()) throw sops::Error("daemon closed the connection");
-  if (reply->type == sops::io::FrameType::kSubmitted) {
-    std::cout << "submitted job " << reply->payload << "\n";
-    return 0;
+  if (reply->type != success) {
+    std::cerr << "error: " << reply->payload << "\n";
+    return 1;
   }
-  std::cerr << "error: " << reply->payload << "\n";
-  return 1;
+  std::cout << prefix << reply->payload;
+  if (!reply->payload.empty() && reply->payload.back() != '\n') {
+    std::cout << "\n";
+  }
+  return 0;
 }
 
-int cmd_status(const std::string& socket_path, const std::string& id) {
-  const ClientConnection connection(socket_path);
-  sops::io::write_frame(connection.fd, sops::io::FrameType::kStatus, id);
-  const auto reply = sops::io::read_frame(connection.fd);
-  if (!reply.has_value()) throw sops::Error("daemon closed the connection");
-  if (reply->type == sops::io::FrameType::kStatusReport) {
-    std::cout << reply->payload;
-    if (!reply->payload.empty() && reply->payload.back() != '\n') {
-      std::cout << "\n";
-    }
-    return 0;
+/// The sample index in a sample_csv frame's "job=N sample=K ..." header.
+std::size_t sample_index(std::string_view meta) {
+  const std::size_t key = meta.find("sample=");
+  std::size_t sample = 0;
+  if (key != std::string_view::npos) {
+    const char* first = meta.data() + key + 7;
+    const char* last = meta.data() + meta.size();
+    const auto [end, error] = std::from_chars(first, last, sample);
+    if (error == std::errc{} && (end == last || *end == ' ')) return sample;
   }
-  std::cerr << "error: " << reply->payload << "\n";
-  return 1;
-}
-
-int cmd_cancel(const std::string& socket_path, const std::string& id) {
-  const ClientConnection connection(socket_path);
-  sops::io::write_frame(connection.fd, sops::io::FrameType::kCancel, id);
-  const auto reply = sops::io::read_frame(connection.fd);
-  if (!reply.has_value()) throw sops::Error("daemon closed the connection");
-  if (reply->type == sops::io::FrameType::kStatusReport) {
-    std::cout << reply->payload << "\n";
-    return 0;
-  }
-  std::cerr << "error: " << reply->payload << "\n";
-  return 1;
+  throw sops::Error("malformed sample_csv frame header: '" +
+                    std::string(meta) + "'");
 }
 
 int cmd_watch(const std::string& socket_path, const std::string& id,
@@ -290,12 +284,11 @@ int cmd_watch(const std::string& socket_path, const std::string& id,
         const std::string meta = frame->payload.substr(0, newline);
         std::cout << meta << "\n";
         if (!save_dir.empty()) {
-          const std::size_t key = meta.find("sample=");
-          std::size_t sample = 0;
-          if (key != std::string::npos) {
-            sample = std::stoul(meta.substr(key + 7));
+          if (newline == std::string::npos) {
+            throw sops::Error("malformed sample_csv frame: no header line");
           }
-          write_file(save_dir + "/sample_" + std::to_string(sample) + ".csv",
+          write_file(save_dir + "/sample_" +
+                         std::to_string(sample_index(meta)) + ".csv",
                      frame->payload.substr(newline + 1));
         }
         break;
@@ -344,17 +337,22 @@ int run_client(const std::string& command, std::vector<std::string> args) {
       std::cerr << "usage: sops_run submit <config-file> [--socket <path>]\n";
       return 2;
     }
-    return cmd_submit(socket_path, positional[0]);
+    return cmd_request(socket_path, sops::io::FrameType::kSubmit,
+                       read_file(positional[0]),
+                       sops::io::FrameType::kSubmitted, "submitted job ");
   }
   if (command == "status") {
-    return cmd_status(socket_path, positional.empty() ? "" : positional[0]);
+    return cmd_request(socket_path, sops::io::FrameType::kStatus,
+                       positional.empty() ? "" : positional[0],
+                       sops::io::FrameType::kStatusReport);
   }
   if (command == "cancel") {
     if (positional.size() != 1) {
       std::cerr << "usage: sops_run cancel <job-id> [--socket <path>]\n";
       return 2;
     }
-    return cmd_cancel(socket_path, positional[0]);
+    return cmd_request(socket_path, sops::io::FrameType::kCancel,
+                       positional[0], sops::io::FrameType::kStatusReport);
   }
   // watch
   if (positional.size() != 1) {

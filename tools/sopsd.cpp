@@ -14,9 +14,11 @@
 // batch run of the same config, because both go through
 // core::sample_recording_csv / core::analysis_csv_table.
 //
-// Watchers attaching mid-run miss nothing: the daemon keeps each job's
-// emitted frames and replays them to a late subscriber before switching to
-// live delivery.
+// Each job has one append-only frame log — state events, sample frames, the
+// analysis curve, then job_done, in emission order — and a watcher reads it
+// by cursor from the start, so a late watcher gets the same bytes in the
+// same order as a live one. The job's terminal state callback pushes its
+// curve and job_done; each connection runs on a detached, counted thread.
 //
 // SIGINT/SIGTERM raise the manager's shutdown token (async-signal-safe) and
 // poke a self-pipe to wake the accept loop; every job drains at its next
@@ -28,21 +30,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
-#include <vector>
 
 #include "core/config_builder.hpp"
 #include "core/job_manager.hpp"
@@ -78,70 +80,39 @@ void install_signal_handlers() {
   signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the daemon
 }
 
-/// One watcher's delivery queue: event callbacks push, the watcher's
-/// connection thread pops and writes. Decouples the simulation workers
-/// from client socket speed.
-struct SubscriberQueue {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<io::Frame> frames;
-  bool done = false;  // terminal frame enqueued; drain and close
-};
-
-/// Per-job frame fan-out with replay: everything ever pushed for a job is
-/// kept and handed to late subscribers first, so a watcher attached after
-/// submission still sees every sample frame exactly once, in order.
+/// Per-job append-only frame logs. Everything a job emits is appended to
+/// its log exactly once; a watcher — live or attached late — holds only a
+/// cursor into the log and reads it frame by frame, so replay and live
+/// delivery are the same loop and a watcher costs O(1) daemon memory.
+/// std::deque::push_back never moves existing elements, so a frame looked
+/// up under the lock stays valid while it is written out unlocked.
 class Broadcast {
  public:
-  void push(std::uint64_t job, io::FrameType type, std::string payload,
-            bool terminal = false) {
-    io::Frame frame{type, std::move(payload)};
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Channel& channel = channels_[job];
-    channel.history.push_back(frame);
-    channel.finished = channel.finished || terminal;
-    for (const std::shared_ptr<SubscriberQueue>& sub : channel.subscribers) {
-      {
-        const std::lock_guard<std::mutex> sub_lock(sub->mutex);
-        sub->frames.push_back(frame);
-        sub->done = sub->done || terminal;
-      }
-      sub->cv.notify_all();
-    }
-  }
-
-  /// Registers a subscriber and seeds it with the job's full history —
-  /// atomically, so no frame is lost or duplicated around the handoff.
-  std::shared_ptr<SubscriberQueue> subscribe(std::uint64_t job) {
-    auto sub = std::make_shared<SubscriberQueue>();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Channel& channel = channels_[job];
+  void push(std::uint64_t job, io::FrameType type, std::string payload) {
+    Log* log = nullptr;
     {
-      const std::lock_guard<std::mutex> sub_lock(sub->mutex);
-      sub->frames.assign(channel.history.begin(), channel.history.end());
-      sub->done = channel.finished;
+      const std::lock_guard<std::mutex> lock(mutex_);
+      log = &logs_[job];
+      log->frames.push_back({type, std::move(payload)});
     }
-    if (!channel.finished) channel.subscribers.push_back(sub);
-    return sub;
+    log->appended.notify_all();
   }
 
-  void unsubscribe(std::uint64_t job,
-                   const std::shared_ptr<SubscriberQueue>& sub) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = channels_.find(job);
-    if (it == channels_.end()) return;
-    auto& subs = it->second.subscribers;
-    subs.erase(std::remove(subs.begin(), subs.end(), sub), subs.end());
+  /// Frame `index` of the job's log, blocking until it has been pushed.
+  const io::Frame& at(std::uint64_t job, std::size_t index) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    Log& log = logs_[job];
+    log.appended.wait(lock, [&] { return index < log.frames.size(); });
+    return log.frames[index];
   }
 
  private:
-  struct Channel {
-    std::vector<io::Frame> history;
-    std::vector<std::shared_ptr<SubscriberQueue>> subscribers;
-    bool finished = false;
+  struct Log {
+    std::deque<io::Frame> frames;
+    std::condition_variable appended;
   };
   std::mutex mutex_;
-  std::map<std::uint64_t, Channel> channels_;
+  std::map<std::uint64_t, Log> logs_;  // nodes never move or go away
 };
 
 struct DaemonOptions {
@@ -149,6 +120,33 @@ struct DaemonOptions {
   std::string spill_dir = ".";
   core::JobLimits limits{};
 };
+
+/// Applies one `--flag value` pair; false on an unknown flag or on a
+/// numeric value that is not a plain decimal that fits (--mem-mb: once
+/// scaled to bytes).
+bool apply_flag(std::string_view flag, std::string_view value,
+                DaemonOptions* options) {
+  if (flag == "--socket") {
+    options->socket_path = value;
+  } else if (flag == "--spill-dir") {
+    options->spill_dir = value;
+  } else {
+    std::size_t n = 0;
+    const char* last = value.data() + value.size();
+    const auto [end, error] = std::from_chars(value.data(), last, n);
+    if (error != std::errc{} || end != last) return false;
+    if (flag == "--slots") {
+      options->limits.job_slots = n;
+    } else if (flag == "--threads") {
+      options->limits.machine_threads = n;
+    } else if (flag == "--mem-mb" && n <= (SIZE_MAX >> 20)) {
+      options->limits.memory_budget_bytes = n << 20;
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
 
 class Daemon {
  public:
@@ -161,16 +159,19 @@ class Daemon {
     core::ConfiguredExperiment configured =
         core::build_experiment(io::Config::parse(config_text));
     configured.experiment.storage.spill_dir = options_.spill_dir;
+    const bool with_entropies = configured.analysis.compute_entropies;
 
     core::JobOptions job_options;
     job_options.analysis = core::JobAnalysis::kStreamed;
-    job_options.events.on_state_change = [this](const core::JobStatus& status) {
-      // Terminal frames are pushed by the waiter thread (which also owns
-      // the curve), so a watcher always sees curve_csv before job_done.
-      if (core::is_terminal(status.state)) return;
-      broadcast_.push(status.id, io::FrameType::kJobEvent,
-                      core::job_status_json(status));
-    };
+    job_options.events.on_state_change =
+        [this, with_entropies](const core::JobStatus& status) {
+          if (core::is_terminal(status.state)) {
+            finish_job(status, with_entropies);
+          } else {
+            broadcast_.push(status.id, io::FrameType::kJobEvent,
+                            core::job_status_json(status));
+          }
+        };
     job_options.events.on_sample_done = [this](const core::JobSampleEvent& e) {
       std::string payload = "job=" + std::to_string(e.job) +
                             " sample=" + std::to_string(e.local_sample) +
@@ -179,20 +180,10 @@ class Daemon {
       payload += core::sample_recording_csv(*e.series, e.local_sample);
       broadcast_.push(e.job, io::FrameType::kSampleCsv, std::move(payload));
     };
-
-    const bool with_entropies = configured.analysis.compute_entropies;
-    const std::uint64_t id = manager_.submit(std::move(configured), job_options);
-    {
-      const std::lock_guard<std::mutex> lock(waiters_mutex_);
-      waiters_.emplace_back([this, id, with_entropies] {
-        finish_job(id, with_entropies);
-      });
-    }
-    return id;
+    return manager_.submit(std::move(configured), job_options);
   }
 
   void serve(int listen_fd) {
-    std::vector<std::thread> connections;
     for (;;) {
       pollfd fds[2] = {{listen_fd, POLLIN, 0}, {g_wake_pipe[0], POLLIN, 0}};
       const int ready = ::poll(fds, 2, -1);
@@ -215,41 +206,58 @@ class Daemon {
         std::cerr << "sopsd: accept failed: " << std::strerror(errno) << "\n";
         break;
       }
-      connections.emplace_back([this, client] { handle(client); });
+      spawn_handler(client);
     }
     std::cout << "sopsd: shutting down, draining jobs...\n";
     // Cancel everything so every job drains and every watch stream ends
-    // with its terminal frame; join the connection handlers first (they
-    // may still submit, adding waiters), then the per-job waiters.
+    // with its terminal frame, then wait for the last handler. Jobs still
+    // draining finish in ~JobManager, whose terminal callbacks append to
+    // broadcast_ — declared first, so it outlives them.
     manager_.shutdown_token().request();
-    for (std::thread& connection : connections) connection.join();
-    for (std::thread& waiter : take_waiters()) waiter.join();
+    std::unique_lock<std::mutex> lock(handlers_mutex_);
+    handlers_idle_.wait(lock, [this] { return handlers_ == 0; });
   }
 
  private:
-  /// Per-job completion thread: blocks in wait(), then emits the analysis
-  /// curve (on success) and the terminal status — the only writer of a
-  /// job's job_done frame.
-  void finish_job(std::uint64_t id, bool with_entropies) {
+  /// One detached thread per connection, counted so shutdown can wait for
+  /// the last one; its stack is freed the moment it returns.
+  void spawn_handler(int client) {
+    {
+      const std::lock_guard<std::mutex> lock(handlers_mutex_);
+      ++handlers_;
+    }
+    std::thread([this, client] {
+      handle(client);
+      // Notify under the lock: serve() may return, and the Daemon die, as
+      // soon as it sees the count reach zero.
+      const std::lock_guard<std::mutex> lock(handlers_mutex_);
+      if (--handlers_ == 0) handlers_idle_.notify_all();
+    }).detach();
+  }
+
+  /// Terminal state hook — the only writer of a job's job_done frame. The
+  /// job is already terminal, so wait() returns at once: the outcome, whose
+  /// analysis curve goes out first, or the job's error, whose detail rides
+  /// in the terminal status.
+  void finish_job(const core::JobStatus& status, bool with_entropies) {
     try {
-      const core::JobOutcome outcome = manager_.wait(id);
+      const core::JobOutcome outcome = manager_.wait(status.id);
       if (outcome.analysis.has_value()) {
         std::ostringstream curve;
         io::write_csv(curve,
                       core::analysis_csv_table(*outcome.analysis, with_entropies));
-        broadcast_.push(id, io::FrameType::kCurveCsv, curve.str());
+        broadcast_.push(status.id, io::FrameType::kCurveCsv, curve.str());
       }
     } catch (const std::exception&) {
       // Failure/cancellation detail rides in the terminal status below.
     }
-    broadcast_.push(id, io::FrameType::kJobDone,
-                    core::job_status_json(manager_.status(id)),
-                    /*terminal=*/true);
+    broadcast_.push(status.id, io::FrameType::kJobDone,
+                    core::job_status_json(status));
   }
 
   void handle(int client) {
     // A connected-but-silent client must not pin the handler (and the
-    // daemon's shutdown join) forever: bound the wait for its request.
+    // daemon's shutdown wait) forever: bound the wait for its request.
     const timeval timeout{30, 0};
     ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     try {
@@ -309,29 +317,15 @@ class Daemon {
     ::close(client);
   }
 
+  /// Writes the job's log from the start — replay and live delivery in
+  /// one loop — until its job_done frame.
   void watch(int client, std::uint64_t id) {
-    (void)manager_.status(id);  // throws on unknown id, before subscribing
-    const std::shared_ptr<SubscriberQueue> sub = broadcast_.subscribe(id);
-    try {
-      for (;;) {
-        io::Frame frame;
-        bool last = false;
-        {
-          std::unique_lock<std::mutex> lock(sub->mutex);
-          sub->cv.wait(lock, [&] { return !sub->frames.empty() || sub->done; });
-          if (sub->frames.empty()) break;  // done, queue already drained
-          frame = std::move(sub->frames.front());
-          sub->frames.pop_front();
-          last = sub->done && sub->frames.empty();
-        }
-        io::write_frame(client, frame.type, frame.payload);
-        if (last) break;
-      }
-    } catch (...) {
-      broadcast_.unsubscribe(id, sub);  // client hung up mid-stream
-      throw;
+    (void)manager_.status(id);  // throws on an unknown id
+    for (std::size_t cursor = 0;; ++cursor) {
+      const io::Frame& frame = broadcast_.at(id, cursor);
+      io::write_frame(client, frame.type, frame.payload);
+      if (frame.type == io::FrameType::kJobDone) return;
     }
-    broadcast_.unsubscribe(id, sub);
   }
 
   static std::uint64_t parse_id(const std::string& text) {
@@ -345,38 +339,20 @@ class Daemon {
     }
   }
 
-  std::vector<std::thread> take_waiters() {
-    const std::lock_guard<std::mutex> lock(waiters_mutex_);
-    std::vector<std::thread> taken;
-    taken.swap(waiters_);
-    return taken;
-  }
-
   DaemonOptions options_;
+  Broadcast broadcast_;  // before manager_: outlives its job callbacks
   core::JobManager manager_;
-  Broadcast broadcast_;
-  std::mutex waiters_mutex_;
-  std::vector<std::thread> waiters_;
+  std::mutex handlers_mutex_;
+  std::condition_variable handlers_idle_;
+  std::size_t handlers_ = 0;  // connection handlers still running
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   DaemonOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--socket" && has_value) {
-      options.socket_path = argv[++i];
-    } else if (arg == "--slots" && has_value) {
-      options.limits.job_slots = std::stoul(argv[++i]);
-    } else if (arg == "--threads" && has_value) {
-      options.limits.machine_threads = std::stoul(argv[++i]);
-    } else if (arg == "--mem-mb" && has_value) {
-      options.limits.memory_budget_bytes = std::stoul(argv[++i]) << 20;
-    } else if (arg == "--spill-dir" && has_value) {
-      options.spill_dir = argv[++i];
-    } else {
+  for (int i = 1; i < argc; i += 2) {
+    if (i + 1 == argc || !apply_flag(argv[i], argv[i + 1], &options)) {
       std::cerr << "usage: sopsd [--socket <path>] [--slots N] [--threads N] "
                    "[--mem-mb N] [--spill-dir <dir>]\n";
       return 2;
