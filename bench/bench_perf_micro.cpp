@@ -438,6 +438,23 @@ void BM_IcpAlign(benchmark::State& state) {
 }
 BENCHMARK(BM_IcpAlign)->Range(20, 320);
 
+// The paper row's regime: n = 1024, 3 types, two independent samples of
+// the initial disc (radius 48, as after the row's 40 steps), the source
+// aligned onto an index built once, as align_ensemble does per frame.
+// Unlike a posed copy, the descents here run tens of iterations.
+void BM_IcpAlignPaperRow(benchmark::State& state) {
+  const auto reference = random_system(1024, 48.0, 3, 11);
+  const auto sample = random_system(1024, 48.0, 3, 12);
+  const std::vector<geom::Vec2> target_points =
+      geom::centered(reference.positions_aos());
+  const std::vector<geom::Vec2> source = geom::centered(sample.positions_aos());
+  const align::IcpTarget target(target_points, reference.types);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(align::align_icp(source, sample.types, target));
+  }
+}
+BENCHMARK(BM_IcpAlignPaperRow)->Unit(benchmark::kMillisecond);
+
 void BM_KMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto system = random_system(n, 10.0, 1, 13);

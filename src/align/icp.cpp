@@ -12,15 +12,18 @@
 namespace sops::align {
 namespace {
 
-// Certificate margin on distances: the candidate must be nearer than both
-// lower bounds by 10%, which also swamps the round-off of the computed
-// distances (a few ulps). kRoundOff covers the cancellation in R − d(q, p)
-// when the two are close, and kMinRadius (below which a particle keeps no
-// warm start) keeps R − d(q, p) far above the subnormal range, where
-// squared distances lose their relative precision.
-constexpr double kMargin = 1.1;
+// Relative certificate margin ε against the shell bound R − d(q, p) and in
+// the sticky radius: far above the few-ulp round-off of the computed
+// distances. kRoundOff covers the cancellation in R − d(q, p) when the two
+// are close, and kMinRadius (below which a particle keeps no warm start and
+// a match no sticky radius) keeps the bounds far above the subnormal range,
+// where squared distances lose their relative precision.
+constexpr double kMargin = 1e-6;
 constexpr double kRoundOff = 1e-12;
 constexpr double kMinRadius = 1e-100;
+
+// Every candidate a warm start tests is a leaf point of its type's tree.
+static_assert(IcpTarget::kNeighbors <= geom::KdTree::kLeafSize);
 
 bool all_finite(std::span<const geom::Vec2> points) noexcept {
   return std::all_of(points.begin(), points.end(), [](geom::Vec2 p) {
@@ -78,17 +81,32 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
   const std::span<const geom::Vec2> target_points = target.points();
   std::vector<std::uint32_t> match(source.size());
   std::vector<geom::Vec2> matched(source.size());
+  // The moved position each match was certified at, and the squared
+  // sticky radius about it (negative: query again next iteration).
+  std::vector<geom::Vec2> anchor(source.size());
+  std::vector<double> reach_sq(source.size(), -1.0);
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
 
-    // NN correspondences within each point's own type (type never crosses);
-    // after the first iteration each query warm-starts from its last match.
+    // NN correspondences within each point's own type (type never crosses).
+    // A match is kept while the moved point stays within its sticky radius;
+    // otherwise it is queried again, warm-started from the reference grid
+    // in the first iteration and from the particle's last match after.
+    bool changed = iter == 0;
     double mse = 0.0;
     for (std::size_t i = 0; i < source.size(); ++i) {
       const geom::Vec2 moved = current.apply(source[i]);
-      match[i] = iter == 0 ? target.nearest(moved, source_types[i])
-                           : target.nearest_from(moved, match[i]);
+      if (!(geom::dist_sq(moved, anchor[i]) <= reach_sq[i])) {
+        const IcpMatch found = iter == 0
+                                   ? target.match(moved, source_types[i])
+                                   : target.match_from(moved, match[i]);
+        changed = changed || found.index != match[i];
+        match[i] = found.index;
+        anchor[i] = moved;
+        const double reach = IcpTarget::sticky_radius(found);
+        reach_sq[i] = reach >= 0.0 ? reach * reach : -1.0;
+      }
       matched[i] = target_points[match[i]];
       mse += geom::dist_sq(moved, matched[i]);
     }
@@ -99,6 +117,20 @@ IcpResult icp_descent(std::span<const geom::Vec2> source,
       break;
     }
     result.mean_squared_error = mse;
+
+    if (!changed) {
+      // Same correspondences as the previous iteration, so the fit below
+      // would return `current` again, bit for bit, and every later
+      // iteration would repeat this one: the next stops on the convergence
+      // test (the same comparison, made here), or none does before the
+      // iteration cap.
+      result.iterations =
+          iter + 1 < options.max_iterations &&
+                  mse >= mse - options.convergence_tolerance
+              ? iter + 2
+              : options.max_iterations;
+      break;
+    }
 
     // Best rigid motion of the *original* source onto the matched targets —
     // fitting from the original (not the moved) points avoids compounding
@@ -148,8 +180,14 @@ IcpTarget::IcpTarget(std::span<const geom::Vec2> points,
   }
 
   // A type that fits in one tree leaf is answered by a single leaf scan,
-  // which is cheaper than the candidate test; it keeps no warm start.
+  // which is cheaper than the candidate test; it keeps no warm start and no
+  // grid. Otherwise the grid has about one cell per member: side
+  // √(area / members), but no narrower than extent / members, so a thin
+  // type cannot ask for a quadratic cell count (at most 3·members + 1 cells
+  // either way). A type of coincident points, or one whose extent
+  // overflows, gets one cell.
   warm_.assign(points.size(), WarmStart{{}, -1.0});
+  grids_.resize(type_count);
   for (std::size_t type = 0; type < type_count; ++type) {
     const std::vector<std::uint32_t>& members = index_[type];
     if (members.size() <= geom::KdTree::kLeafSize) continue;
@@ -163,6 +201,37 @@ IcpTarget::IcpTarget(std::span<const geom::Vec2> points,
       const double radius = std::sqrt(nearest.back().dist_sq);
       if (radius >= kMinRadius) warm.radius = radius;
     }
+
+    geom::Vec2 lo = points_[members.front()];
+    geom::Vec2 hi = lo;
+    for (const std::uint32_t i : members) {
+      lo = {std::min(lo.x, points_[i].x), std::min(lo.y, points_[i].y)};
+      hi = {std::max(hi.x, points_[i].x), std::max(hi.y, points_[i].y)};
+    }
+    const double count = static_cast<double>(members.size());
+    const double width = hi.x - lo.x;
+    const double height = hi.y - lo.y;
+    const double cell = std::max(std::sqrt(width * height / count),
+                                 std::max(width, height) / count);
+    Grid& grid = grids_[type];
+    grid.origin = lo;
+    if (cell > 0.0 && std::isfinite(cell)) {
+      grid.cell = cell;
+      grid.nx = static_cast<std::size_t>(std::min(width / cell, count)) + 1;
+      grid.ny = static_cast<std::size_t>(std::min(height / cell, count)) + 1;
+    } else {
+      grid.nx = grid.ny = 1;
+    }
+    grid.cells.resize(grid.nx * grid.ny);
+    for (std::size_t iy = 0; iy < grid.ny; ++iy) {
+      for (std::size_t ix = 0; ix < grid.nx; ++ix) {
+        const geom::Vec2 centre{
+            lo.x + (static_cast<double>(ix) + 0.5) * grid.cell,
+            lo.y + (static_cast<double>(iy) + 0.5) * grid.cell};
+        grid.cells[iy * grid.nx + ix] =
+            nearest(centre, static_cast<sim::TypeId>(type));
+      }
+    }
   }
 }
 
@@ -174,8 +243,14 @@ std::uint32_t IcpTarget::nearest(geom::Vec2 q, sim::TypeId type) const {
 
 std::uint32_t IcpTarget::nearest_from(geom::Vec2 q,
                                       std::uint32_t previous) const {
+  return match_from(q, previous).index;
+}
+
+IcpMatch IcpTarget::match_from(geom::Vec2 q, std::uint32_t previous) const {
   const WarmStart& warm = warm_[previous];
-  if (warm.radius < 0.0) return nearest(q, types_[previous]);
+  if (warm.radius < 0.0) return {nearest(q, types_[previous])};
+  // geom::dist_sq rounds exactly like the tree's leaf scan, so these are
+  // the distances the tree search compares.
   const double previous_d2 = geom::dist_sq(q, points_[previous]);
   std::uint32_t best = previous;
   double best_d2 = previous_d2;
@@ -190,18 +265,41 @@ std::uint32_t IcpTarget::nearest_from(geom::Vec2 q,
       runner_up_d2 = d2;
     }
   }
-  if (best_d2 * (kMargin * kMargin) < runner_up_d2) {
+  if (best_d2 < runner_up_d2) {
     const double best_d = std::sqrt(best_d2);
     const double previous_d = std::sqrt(previous_d2);
-    if (kMargin * best_d <
-        warm.radius - previous_d - kRoundOff * (warm.radius + previous_d)) {
-      return best;
+    const double shell =
+        warm.radius - previous_d - kRoundOff * (warm.radius + previous_d);
+    if ((1.0 + kMargin) * best_d < shell) {
+      return {best, best_d, std::min(std::sqrt(runner_up_d2), shell)};
     }
   }
   const sim::TypeId type = types_[previous];
   const double query[2] = {q.x, q.y};
   const geom::Neighbor nn = trees_[type].nearest({query, 2}, best_d2);
-  return index_[type][nn.index];
+  return {index_[type][nn.index]};
+}
+
+IcpMatch IcpTarget::match(geom::Vec2 q, sim::TypeId type) const {
+  const Grid& grid = grids_[type];
+  if (grid.cells.empty()) return {nearest(q, type)};
+  // Cell coordinates clamped to the grid; NaN (never from finite inputs)
+  // would clamp to 0.
+  const auto clamped = [](double coordinate, std::size_t cells) {
+    return coordinate > 0.0
+               ? static_cast<std::size_t>(
+                     std::min(coordinate, static_cast<double>(cells - 1)))
+               : std::size_t{0};
+  };
+  const std::size_t ix = clamped((q.x - grid.origin.x) / grid.cell, grid.nx);
+  const std::size_t iy = clamped((q.y - grid.origin.y) / grid.cell, grid.ny);
+  return match_from(q, grid.cells[iy * grid.nx + ix]);
+}
+
+double IcpTarget::sticky_radius(const IcpMatch& match) noexcept {
+  const double reach =
+      (match.gap - (1.0 + kMargin) * match.distance) / (2.0 + kMargin);
+  return reach >= kMinRadius ? reach : -1.0;
 }
 
 IcpResult align_icp(std::span<const geom::Vec2> source,

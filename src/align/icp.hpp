@@ -20,9 +20,13 @@
 //
 // Nearly all of ICP's time is the per-iteration nearest-neighbor query, so
 // the reference side is indexed once (IcpTarget) and shared by every restart
-// of every source aligned onto it. From the second iteration on, a query
-// warm-starts from the particle's previous match; the result is always the
-// same target the plain per-type tree search returns (see IcpTarget).
+// of every source aligned onto it. A query warm-starts from the particle's
+// previous match (in the first iteration, from a grid guess), and a
+// certified match is kept without any query while the moved particle stays
+// inside the gap the certificate proved; the result is always the same
+// target the plain per-type tree search returns (see IcpTarget). A descent
+// whose correspondences all repeat stops at once: its next iteration could
+// only repeat them.
 #pragma once
 
 #include <cstddef>
@@ -47,30 +51,58 @@ struct IcpOptions {
 struct IcpResult {
   geom::RigidTransform2 transform;   ///< apply to source to match target
   double mean_squared_error = 0.0;   ///< final NN MSE in the plane
-  std::size_t iterations = 0;        ///< iterations of the winning restart
+  /// Iterations of the winning restart. A descent whose correspondences
+  /// all repeat the previous iteration's stops without running the next
+  /// iteration, which could only confirm them; that confirming iteration
+  /// is still counted (unless it would exceed max_iterations), so the count
+  /// is the one the plain loop reports.
+  std::size_t iterations = 0;
+};
+
+/// A warm-started correspondence with its gap certificate.
+struct IcpMatch {
+  std::uint32_t index = 0;  ///< the nearest same-type reference particle
+  double distance = 0.0;    ///< d(q, index), when certified
+  /// When non-negative, a lower bound on d(q, x) for every other same-type
+  /// reference particle x; negative when the match came from a tree search
+  /// and carries no certificate.
+  double gap = -1.0;
 };
 
 /// The reference configuration of an alignment, indexed for the
 /// correspondence queries of every ICP restart run against it: one 2-D k-d
 /// tree per particle type, and for each reference particle its
 /// kNeighbors nearest same-type neighbors plus the distance R to the last
-/// of them.
+/// of them (72 bytes per particle). Each type with warm starts also gets a
+/// grid over its bounding box, about one cell per member, naming the member
+/// nearest each cell's centre: match() starts a query without a previous
+/// match (an ICP descent's first iteration) from its cell's member.
 ///
-/// nearest_from() warm-starts a query q from the particle's previous match
+/// match_from() warm-starts a query q from the particle's previous match
 /// p. The best of p and its neighbors, c, is accepted without a tree search
-/// when c beats, by a 10% distance margin, both the runner-up candidate and
-/// R − d(q, p): by the triangle inequality, every other same-type point x
-/// has d(q, x) ≥ d(p, x) − d(q, p) ≥ R − d(q, p). Then c is the unique
-/// minimum, so it is exactly what the tree search returns; the margin
-/// swamps the round-off in the distances. Otherwise the tree search runs,
-/// bounded by d(q, c) (KdTree::nearest with a bound, which returns the
-/// unbounded answer, tie-break included). A type that fits in one tree leaf
-/// (at most KdTree::kLeafSize members, so in particular any type without 8
-/// other members) keeps no warm start: its queries are the plain search.
+/// when its distance is strictly below the runner-up candidate's and, by a
+/// relative margin ε = 1e-6, below R − d(q, p): by the triangle inequality,
+/// every other same-type point x has d(q, x) ≥ d(p, x) − d(q, p) ≥
+/// R − d(q, p). Candidate distances are computed with the tree's own leaf
+/// arithmetic, so the strict runner-up test is exact; the margin swamps the
+/// round-off of the shell bound. Then c is the unique minimum, so it is
+/// exactly what the tree search returns, and the match carries d = d(q, c)
+/// and the gap L = min(runner-up distance, shell bound). Otherwise the tree
+/// search runs, bounded by d(q, c) (KdTree::nearest with a bound, which
+/// returns the unbounded answer, tie-break included), and the match is
+/// uncertified. A type that fits in one tree leaf (at most KdTree::kLeafSize
+/// members, so in particular any type without kNeighbors other members)
+/// keeps no warm start: its queries are the plain search.
+///
+/// A certified match stays the answer for every q' within
+/// sticky_radius() = (L − (1+ε)·d)/(2+ε) of q: d(q', c) ≤ d + δ and
+/// d(q', x) ≥ L − δ, so c still wins by the factor 1 + ε, far above the
+/// round-off of every distance involved. An ICP descent keeps such a match
+/// with one distance test instead of a query.
 class IcpTarget {
  public:
   /// Warm-start candidates per reference particle, besides itself.
-  static constexpr std::size_t kNeighbors = 8;
+  static constexpr std::size_t kNeighbors = 16;
 
   /// Indexes a non-empty configuration with finite coordinates.
   IcpTarget(std::span<const geom::Vec2> points,
@@ -99,10 +131,33 @@ class IcpTarget {
   [[nodiscard]] std::uint32_t nearest_from(geom::Vec2 q,
                                            std::uint32_t previous) const;
 
+  /// nearest_from(q, previous) with its gap certificate, when the warm
+  /// start settles it.
+  [[nodiscard]] IcpMatch match_from(geom::Vec2 q, std::uint32_t previous) const;
+
+  /// nearest(q, type) with its gap certificate when the warm start settles
+  /// it: match_from() started from the member that q's grid cell names. A
+  /// type without warm starts answers with the plain, uncertified search.
+  [[nodiscard]] IcpMatch match(geom::Vec2 q, sim::TypeId type) const;
+
+  /// Radius about a certified match's query within which its index stays
+  /// nearest(·, type), exactly; negative when there is none (uncertified,
+  /// no gap, or too small to test without underflow).
+  [[nodiscard]] static double sticky_radius(const IcpMatch& match) noexcept;
+
  private:
   struct WarmStart {
     std::uint32_t neighbors[kNeighbors];
     double radius;  // R, or -1 when the particle keeps no warm start
+  };
+  // Cell (ix, iy), of side `cell` from corner `origin`, names the member
+  // nearest its centre at cells[iy * nx + ix].
+  struct Grid {
+    geom::Vec2 origin{};
+    double cell = 1.0;
+    std::size_t nx = 0;
+    std::size_t ny = 0;
+    std::vector<std::uint32_t> cells;
   };
 
   std::vector<geom::Vec2> points_;
@@ -112,6 +167,7 @@ class IcpTarget {
   std::vector<std::vector<std::uint32_t>> index_;  // per type: global index
   std::vector<geom::KdTree> trees_;                // per type, over coords_
   std::vector<WarmStart> warm_;                    // per reference particle
+  std::vector<Grid> grids_;  // per type; no cells without warm starts
 };
 
 /// Correspondence-free alignment: finds g ∈ ISO⁺(2) minimizing the NN

@@ -3,10 +3,11 @@
 // The oracle below is a frozen copy of the per-call aligner: per-type k-d
 // trees built inside every align_icp call and an unbounded tree query for
 // every correspondence of every iteration. The reference index, its
-// certified warm-start and the bounded fallback query must reproduce it bit
-// for bit — transform, error and iteration count — on random, tie-heavy and
-// real recorded frames, and align_ensemble's (row, restart) fan-out must
-// not depend on the executor width.
+// certified warm-start, the bounded fallback query, the sticky matches kept
+// inside a certified gap and the early stop on repeated correspondences
+// must reproduce it bit for bit — transform, error and iteration count — on
+// random, tie-heavy and real recorded frames, and align_ensemble's
+// (row, restart) fan-out must not depend on the executor width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -284,8 +285,9 @@ TEST(IcpParity, LatticeAndDuplicateTies) {
 }
 
 TEST(IcpParity, TypesWithFewerThanNineMembers) {
-  // Type 0 is large; types 1..6 have 1, 3, 8, 9, 16 and 17 members: no R₈
-  // below 9, and warm starts only above one tree leaf (16).
+  // Type 0 is large; types 1..6 have 1, 3, 8, 9, 16 and 17 members: warm
+  // starts only above one tree leaf (16), where the 16 neighbours of a
+  // 17-member type are the whole type.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Cloud target = random_cloud(120, 1, 300 + seed);
     const std::size_t sizes[] = {1, 3, 8, 9, 16, 17};
@@ -330,6 +332,155 @@ TEST(IcpParity, NearestFromEqualsTreeQuery) {
       }
     }
   }
+}
+
+TEST(IcpParity, TypesOfSeventeenMembers) {
+  // Fig. 4's 17/17/16 split: the two larger types keep warm starts whose
+  // 16 neighbours cover the whole type, the third is one tree leaf.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Cloud target = random_cloud(50, 1, 500 + seed);
+    for (std::size_t i = 0; i < 50; ++i) {
+      target.types[i] = static_cast<TypeId>(i < 17 ? 0 : i < 34 ? 1 : 2);
+    }
+    for (const double jitter : {0.0, 0.3, 2.0}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed
+                                      << " jitter=" << jitter);
+      const Cloud source = posed_copy(target, jitter, 600 + seed);
+      expect_parity(source.points, source.types, target.points,
+                    target.types);
+    }
+  }
+  // Every member of a 17-member type as a lattice (exact ties).
+  Cloud grid = lattice(6, 1);
+  for (std::size_t i = 0; i < grid.types.size(); ++i) {
+    grid.types[i] = static_cast<TypeId>(i < 17 ? 0 : 1);
+  }
+  IcpOptions options;
+  options.rotation_restarts = 4;
+  expect_parity(grid.points, grid.types, grid.points, grid.types, options);
+}
+
+// Iteration caps of 1, 2 and 3 (and 6) pin the early stop's edges: a descent
+// whose correspondences repeat at iteration k reports k + 2 iterations, or
+// k + 1 when that is the cap. A negative tolerance never converges, so the
+// descent must run to the cap even when nothing changes.
+TEST(IcpParity, ShortIterationCaps) {
+  const Cloud target = random_cloud(150, 3, 41);
+  const Cloud posed = posed_copy(target, 0.05, 42);
+  Cloud unrelated = random_cloud(150, 3, 43);
+  unrelated.types = target.types;
+  const Cloud grid = lattice(7, 2);
+  Cloud offset = grid;
+  for (Vec2& p : offset.points) p += Vec2{0.25, 0.0};
+  for (const std::size_t cap : {1u, 2u, 3u, 6u}) {
+    for (const double tolerance : {1e-9, 0.0, -1.0}) {
+      SCOPED_TRACE(testing::Message() << "max_iterations=" << cap
+                                      << " tolerance=" << tolerance);
+      IcpOptions options;
+      options.max_iterations = cap;
+      options.convergence_tolerance = tolerance;
+      expect_parity(posed.points, posed.types, target.points, target.types,
+                    options);
+      expect_parity(unrelated.points, unrelated.types, target.points,
+                    target.types, options);
+      options.rotation_restarts = 4;
+      expect_parity(grid.points, grid.types, grid.points, grid.types,
+                    options);
+      expect_parity(offset.points, offset.types, grid.points, grid.types,
+                    options);
+    }
+  }
+}
+
+// Every certified match — from a previous match, and from the first
+// iteration's grid guess — is the tree's answer, and stays it for queries
+// moved anywhere within its sticky radius: 0.999 of it in random
+// directions, and on the boundary itself. Returns the certified count.
+std::size_t expect_sticky_gaps(const Cloud& cloud, std::uint64_t seed) {
+  const IcpTarget index(cloud.points, cloud.types);
+  sops::rng::Xoshiro256 engine(seed);
+  std::size_t certified = 0;
+  const auto check = [&](Vec2 q, TypeId type,
+                         const sops::align::IcpMatch& found) {
+    EXPECT_EQ(found.index, index.nearest(q, type));
+    const double reach = IcpTarget::sticky_radius(found);
+    if (found.gap < 0.0) {
+      EXPECT_LT(reach, 0.0);
+      return;
+    }
+    EXPECT_TRUE(same_bits(found.distance,
+                          std::sqrt(sops::geom::dist_sq(
+                              q, cloud.points[found.index]))));
+    if (reach < 0.0) return;
+    ++certified;
+    for (int k = 0; k < 8; ++k) {
+      const double angle =
+          sops::rng::uniform(engine, 0.0, 2.0 * std::numbers::pi);
+      const Vec2 direction{std::cos(angle), std::sin(angle)};
+      const double scale =
+          k == 0 ? 1.0 : 0.999 * sops::rng::uniform(engine, 0.0, 1.0);
+      const Vec2 moved = q + direction * (scale * reach);
+      EXPECT_EQ(index.nearest(moved, type), found.index)
+          << "q=(" << q.x << ", " << q.y << ") reach=" << reach
+          << " scale=" << scale;
+    }
+  };
+  for (std::uint32_t previous = 0; previous < cloud.points.size();
+       ++previous) {
+    const Vec2 base = cloud.points[previous];
+    const TypeId type = cloud.types[previous];
+    const Vec2 queries[] = {base,
+                            base + Vec2{0.5, 0.0},
+                            base + Vec2{0.5, 0.5},
+                            base + sops::rng::normal_vec2(engine, 0.05),
+                            base + sops::rng::normal_vec2(engine, 0.3),
+                            base + sops::rng::normal_vec2(engine, 0.6),
+                            base + sops::rng::normal_vec2(engine, 4.0)};
+    for (const Vec2 q : queries) {
+      check(q, type, index.match_from(q, previous));
+      check(q, type, index.match(q, type));
+    }
+  }
+  return certified;
+}
+
+TEST(IcpParity, StickyRadiusKeepsTheNearestPoint) {
+  for (const std::size_t types : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "types=" << types);
+    EXPECT_GT(expect_sticky_gaps(random_cloud(400, types, 71), 72), 1000u);
+    EXPECT_GT(expect_sticky_gaps(lattice(12, types), 73), 100u);
+  }
+  // 17 members: the warm start's neighbours are the whole type.
+  Cloud seventeen = random_cloud(17, 1, 74);
+  EXPECT_GT(expect_sticky_gaps(seventeen, 75), 10u);
+  // Exact duplicates always tie with their copy, so nothing is certified.
+  for (const int copies : {2, 3}) {
+    SCOPED_TRACE(testing::Message() << "copies=" << copies);
+    EXPECT_EQ(expect_sticky_gaps(lattice(9, 2, copies), 76), 0u);
+  }
+}
+
+// The shell bound R − d(q, p) is all that guards the points beyond p's 16
+// neighbours. Here p = 0 has 16 neighbours on the unit circle (R = 1), x
+// lies just beyond them on the +x axis, and the query q = (0.7, 0) is
+// 0.3001 from x but 0.30055 from the best candidate c: within 0.2% of the
+// shell bound 0.3, yet farther than x, so the warm start must not settle.
+TEST(IcpParity, ShellBoundGuardsPointsBeyondTheNeighbours) {
+  const double theta = std::acos((1.49 - 0.30055 * 0.30055) / 1.4);
+  Cloud cloud;
+  cloud.points.push_back({0.0, 0.0});                             // p
+  cloud.points.push_back({std::cos(theta), std::sin(theta)});     // c
+  for (int k = 0; k < 15; ++k) {
+    const double angle = 0.6 + (2.0 * std::numbers::pi - 1.2) * k / 14.0;
+    cloud.points.push_back({std::cos(angle), std::sin(angle)});
+  }
+  cloud.points.push_back({1.0001, 0.0});                          // x
+  cloud.types.assign(cloud.points.size(), 0);
+  const IcpTarget index(cloud.points, cloud.types);
+  const Vec2 q{0.7, 0.0};
+  ASSERT_EQ(index.nearest(q, 0), cloud.points.size() - 1);
+  EXPECT_EQ(index.nearest_from(q, 0), cloud.points.size() - 1);
+  EXPECT_LT(index.match_from(q, 0).gap, 0.0);
 }
 
 sops::core::ExperimentConfig paper_row(std::size_t samples) {
