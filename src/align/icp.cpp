@@ -355,6 +355,10 @@ std::vector<std::size_t> match_by_type(std::span<const geom::Vec2> source,
                       target.size() == target_types.size(),
                   "match_by_type: invalid inputs");
   check_type_histograms(source_types, target_types);
+  support::expect(all_finite(source),
+                  "match_by_type: non-finite source coordinate");
+  support::expect(all_finite(target),
+                  "match_by_type: non-finite target coordinate");
 
   // Lazy greedy matching, output-identical to sorting all same-type pairs by
   // (dist_sq, s, t) and committing greedily, without materializing the O(n²)
@@ -385,11 +389,21 @@ std::vector<std::size_t> match_by_type(std::span<const geom::Vec2> source,
   }
 
   std::vector<char> target_used(n, 0);
-  // Closest unused target of source s; strict < keeps the lowest index among
-  // equal distances, matching the sorted path's t tie-break.
+  // Closest unused target of source s. The search starts from the first
+  // unused target of s's type, not from an infinite sentinel, so a type
+  // whose remaining squared distances all overflow to +inf still yields one
+  // of its own unused targets; strict < after that keeps the lowest index
+  // among equal distances, matching the sorted path's t tie-break. The
+  // histogram check guarantees an unused target exists whenever s is
+  // unmatched.
   const auto best_candidate = [&](std::uint32_t s) noexcept {
-    Pair best{std::numeric_limits<double>::infinity(), s, 0};
-    for (const std::uint32_t t : targets_of_type[source_types[s]]) {
+    const std::vector<std::uint32_t>& same_type =
+        targets_of_type[source_types[s]];
+    auto it = same_type.begin();
+    while (target_used[*it]) ++it;
+    Pair best{geom::dist_sq(source[s], target[*it]), s, *it};
+    for (++it; it != same_type.end(); ++it) {
+      const std::uint32_t t = *it;
       if (target_used[t]) continue;
       const double d2 = geom::dist_sq(source[s], target[t]);
       if (d2 < best.dist_sq) {

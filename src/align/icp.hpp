@@ -204,7 +204,9 @@ class IcpTarget {
 /// One-to-one same-type correspondence: returns a permutation π with
 /// π[i] = index of the target particle matched to source particle i.
 /// Greedy by ascending pair distance within each type (each source and
-/// target particle used once). Types must have equal counts on both sides.
+/// target particle used once). Types must have equal counts on both sides
+/// and every coordinate must be finite; a type whose remaining squared
+/// distances all overflow to +inf is matched by index order.
 [[nodiscard]] std::vector<std::size_t> match_by_type(
     std::span<const geom::Vec2> source, std::span<const sim::TypeId> source_types,
     std::span<const geom::Vec2> target, std::span<const sim::TypeId> target_types);

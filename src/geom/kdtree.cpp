@@ -51,21 +51,87 @@ KdTree::KdTree(std::span<const double> points, std::size_t dim)
   support::expect(dim > 0, "KdTree: dimension must be positive");
   support::expect(points.size() % dim == 0,
                   "KdTree: point array size not a multiple of dim");
+  support::expect(count_ <= std::numeric_limits<std::uint32_t>::max(),
+                  "KdTree: too many points");
   order_.resize(count_);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::iota(order_.begin(), order_.end(), std::uint32_t{0});
   if (count_ > 0) {
     nodes_.reserve(2 * count_ / kLeafSize + 2);
     root_ = build(0, count_);
+    slot_of_.resize(count_);
     leaf_points_.resize(count_ * dim_);
     leaf_columns_.resize(count_ * dim_);
     for (std::size_t slot = 0; slot < count_; ++slot) {
+      slot_of_[order_[slot]] = static_cast<std::uint32_t>(slot);
       const double* src = point(order_[slot]);
       std::copy(src, src + dim_, leaf_points_.data() + slot * dim_);
       for (std::size_t d = 0; d < dim_; ++d) {
         leaf_columns_[d * count_ + slot] = src[d];
       }
     }
+    build_boxes();
   }
+}
+
+// Bottom-up box pass in O(count): build() emits nodes in preorder, so both
+// children of a node have higher ids and are done before it. Leaves take
+// their members' coordinate range, parents the union of their children's.
+// NaN is sticky (std::min/max would drop it), so a box never certifies a
+// subtree holding a NaN coordinate.
+void KdTree::build_boxes() {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto lower = [](double a, double b) noexcept {
+    return std::isnan(a) || std::isnan(b) ? kNaN : std::min(a, b);
+  };
+  const auto upper = [](double a, double b) noexcept {
+    return std::isnan(a) || std::isnan(b) ? kNaN : std::max(a, b);
+  };
+  boxes_.resize(nodes_.size() * 2 * dim_);
+  for (std::size_t id = nodes_.size(); id-- > 0;) {
+    const Node& node = nodes_[id];
+    double* lo = boxes_.data() + id * 2 * dim_;
+    double* hi = lo + dim_;
+    if (node.is_leaf()) {
+      for (std::size_t d = 0; d < dim_; ++d) {
+        const double* col = leaf_column(d);
+        lo[d] = hi[d] = col[node.begin];
+        for (std::size_t i = node.begin + 1; i < node.end; ++i) {
+          lo[d] = lower(lo[d], col[i]);
+          hi[d] = upper(hi[d], col[i]);
+        }
+      }
+      continue;
+    }
+    const double* left = box(static_cast<std::size_t>(node.left));
+    const double* right = box(static_cast<std::size_t>(node.right));
+    for (std::size_t d = 0; d < dim_; ++d) {
+      lo[d] = lower(left[d], right[d]);
+      hi[d] = upper(left[dim_ + d], right[dim_ + d]);
+    }
+  }
+}
+
+bool KdTree::box_within(std::size_t id, const double* query,
+                        std::span<const DimBlock> blocks,
+                        double radius_sq) const noexcept {
+  // Member coordinate p in [lo, hi] gives fl(lo − q) <= fl(p − q) <=
+  // fl(hi − q), so the leaf test's (p − q)² is at most the larger corner
+  // square, and block sums in the same dim order stay at most the corner's.
+  // A NaN box axis makes both squares NaN; a query coordinate equal to an
+  // infinite box end makes one square NaN and the other infinite (or NaN).
+  // Either way the sum is NaN or infinite and fails the strict <.
+  const double* lo = box(id);
+  const double* hi = lo + dim_;
+  for (const DimBlock& block : blocks) {
+    double sum = 0.0;
+    for (std::size_t d = block.offset; d < block.offset + block.dim; ++d) {
+      const double below = lo[d] - query[d];
+      const double above = hi[d] - query[d];
+      sum += std::max(below * below, above * above);
+    }
+    if (!(sum < radius_sq)) return false;
+  }
+  return true;
 }
 
 double KdTree::dist_sq_to(std::size_t i,
@@ -453,9 +519,25 @@ void KdTree::count_within_blocks(std::span<const double> queries,
   std::size_t top = 0;
   stack[top++] = {root_, live};
   while (top > 0) {
-    const Frame frame = stack[--top];
+    Frame frame = stack[--top];
     if (frame.node < 0) continue;
-    const Node& node = nodes_[static_cast<std::size_t>(frame.node)];
+    const auto id = static_cast<std::size_t>(frame.node);
+    const Node& node = nodes_[id];
+    // Whole-subtree counts: a query whose radius covers the node's box
+    // counts every member (less its own point when that is one) and leaves
+    // this subtree's descent.
+    for (std::uint32_t rest = frame.mask; rest != 0; rest &= rest - 1) {
+      const auto b = static_cast<std::size_t>(std::countr_zero(rest));
+      if (!box_within(id, queries.data() + b * dim_, blocks, radius_sq[b])) {
+        continue;
+      }
+      const std::size_t skip = skips[b];
+      const bool skip_inside = skip < count_ && slot_of_[skip] >= node.begin &&
+                               slot_of_[skip] < node.end;
+      counts[b] += node.end - node.begin - (skip_inside ? 1 : 0);
+      frame.mask &= ~(std::uint32_t{1} << b);
+    }
+    if (frame.mask == 0) continue;
     if (node.is_leaf()) {
       for (std::size_t i = node.begin; i < node.end; ++i) {
         const std::size_t idx = order_[i];

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -92,6 +93,16 @@ class KdTree {
   /// Number of indexed points with block-max distance to `query` strictly
   /// less than `radius` (compared as squared distance < radius*radius, the
   /// comparison the KSG estimators make). `blocks` must tile [0, dim).
+  ///
+  /// Whole subtrees are counted without visiting their points when the
+  /// farthest corner of the node's bounding box is strictly within the
+  /// radius: per axis the larger of (lo − q)² and (hi − q)², summed in
+  /// block order. Subtraction, squaring and summation are monotone in
+  /// floating point, so every member's computed squared distance is at most
+  /// the corner's and the leaf test would have counted it too — the count
+  /// is the exhaustive scan's, bit for bit. A box holding a NaN coordinate
+  /// is NaN itself, and any NaN or infinite corner fails the strict <, so
+  /// such subtrees always fall back to the per-point test.
   [[nodiscard]] std::size_t count_within_blocks(
       std::span<const double> query, double radius,
       std::span<const DimBlock> blocks,
@@ -101,8 +112,10 @@ class KdTree {
   /// `queries` holds the points back to back (radii.size() * dim doubles);
   /// query b counts points with block-max distance < radii[b], excluding
   /// skips[b], into counts[b]. Each count is bitwise-identical to the
-  /// single-query overload. Batch size is capped at kMaxCountBatch; callers
-  /// batch support::kSimdWidth points per descent.
+  /// single-query overload, whole-subtree counting included (a query leaves
+  /// the batch's descent at the first node it counts whole). Batch size is
+  /// capped at kMaxCountBatch; callers batch support::kSimdWidth points per
+  /// descent.
   void count_within_blocks(std::span<const double> queries,
                            std::span<const double> radii,
                            std::span<const DimBlock> blocks,
@@ -144,6 +157,17 @@ class KdTree {
   [[nodiscard]] const double* leaf_column(std::size_t d) const noexcept {
     return leaf_columns_.data() + d * count_;
   }
+  // Bounding box of node `id`'s members: dim_ lows, then dim_ highs. NaN
+  // on an axis where any member's coordinate is NaN.
+  [[nodiscard]] const double* box(std::size_t id) const noexcept {
+    return boxes_.data() + id * 2 * dim_;
+  }
+  // Whether every member of node `id` lies strictly within `radius_sq` of
+  // `query` under the block-max metric, judged from the box's farthest
+  // corner (see count_within_blocks).
+  [[nodiscard]] bool box_within(std::size_t id, const double* query,
+                                std::span<const DimBlock> blocks,
+                                double radius_sq) const noexcept;
   [[nodiscard]] double dist_sq_to(std::size_t i,
                                   std::span<const double> query) const noexcept;
   // Slot of the nearest point with squared distance below `best_d2`, which
@@ -156,14 +180,17 @@ class KdTree {
   [[nodiscard]] std::size_t nearest_generic(const double* query,
                                             double& best_d2) const;
   int build(std::size_t begin, std::size_t end);
+  void build_boxes();
 
   std::span<const double> points_;
   std::size_t dim_;
   std::size_t count_;
-  std::vector<std::size_t> order_;  // permutation of point indices
+  std::vector<std::uint32_t> order_;    // permutation of point indices
+  std::vector<std::uint32_t> slot_of_;  // inverse: slot_of_[order_[i]] == i
   std::vector<double> leaf_points_;   // points_ permuted by order_
   std::vector<double> leaf_columns_;  // same, coordinate-major
   std::vector<Node> nodes_;
+  std::vector<double> boxes_;  // per node, see box()
   int root_ = -1;
 };
 

@@ -15,22 +15,50 @@
 namespace sops::info {
 namespace {
 
-// Distance from sample s to every other sample under the block-max metric,
-// returning the k-th smallest (excluding s itself). scratch holds m doubles.
+// The k-th smallest block-max distance from sample s to the other samples,
+// by partial-distance search (Bei & Gray 1985): `heap` keeps the k smallest
+// squared distances seen so far as a max-heap, and a candidate is dropped as
+// soon as its running block max reaches the heap top — its full max can at
+// best tie the k-th value, which leaves the k-th value unchanged. Each
+// block sum accumulates over ascending dims with the operands of
+// block_dist_sq, and the running max is block_max_dist's std::max, so every
+// admitted value is the exhaustive scan's bits; sqrt is monotone and
+// correctly rounded, so sqrt of the k-th squared distance is the k-th
+// distance. heap holds at most k doubles.
 double kth_joint_distance(const SampleMatrix& samples,
                           std::span<const Block> blocks, std::size_t s,
-                          std::size_t k, std::vector<double>& scratch) {
+                          std::size_t k, std::vector<double>& heap) {
   const std::size_t m = samples.count();
-  scratch.clear();
-  scratch.reserve(m - 1);
+  const double* rs = samples.row(s).data();
+  heap.clear();
   for (std::size_t j = 0; j < m; ++j) {
     if (j == s) continue;
-    scratch.push_back(block_max_dist(samples, s, j, blocks));
+    const double* rj = samples.row(j).data();
+    const bool full = heap.size() == k;
+    double max_sq = 0.0;
+    bool dropped = false;
+    for (const Block& block : blocks) {
+      double sum = 0.0;
+      for (std::size_t d = block.offset; d < block.offset + block.dim; ++d) {
+        const double diff = rs[d] - rj[d];
+        sum += diff * diff;
+      }
+      max_sq = std::max(max_sq, sum);
+      if (full && max_sq >= heap.front()) {
+        dropped = true;
+        break;
+      }
+    }
+    if (dropped) continue;
+    if (full) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = max_sq;
+    } else {
+      heap.push_back(max_sq);
+    }
+    std::push_heap(heap.begin(), heap.end());
   }
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   scratch.end());
-  return scratch[k - 1];
+  return std::sqrt(heap.front());
 }
 
 }  // namespace

@@ -289,6 +289,41 @@ TEST(MatchByType, MatchesOracleWithDuplicatePointTies) {
             sorted_greedy_oracle(a.points, a.types, b.points, b.types));
 }
 
+TEST(MatchByType, OverflowingDistancesStayWithinType) {
+  // Finite coordinates whose every same-type squared distance overflows to
+  // +inf: each source still gets an unused target of its own type, in the
+  // sorted greedy's (dist, s, t) order — here the lowest free t per s.
+  const std::vector<Vec2> source{{1e200, 0.0}, {1e200, 1.0}, {1e200, 2.0},
+                                 {1e200, 3.0}};
+  const std::vector<TypeId> source_types{1, 0, 1, 0};
+  const std::vector<Vec2> target{{-1e200, 0.0}, {-1e200, 1.0}, {-1e200, 2.0},
+                                 {-1e200, 3.0}};
+  const std::vector<TypeId> target_types{0, 1, 0, 1};
+  const auto match = match_by_type(source, source_types, target, target_types);
+  EXPECT_EQ(match, (std::vector<std::size_t>{1, 0, 3, 2}));
+  EXPECT_EQ(match, sorted_greedy_oracle(source, source_types, target,
+                                        target_types));
+  for (std::size_t i = 0; i < match.size(); ++i) {
+    EXPECT_EQ(target_types[match[i]], source_types[i]) << i;
+  }
+}
+
+TEST(MatchByType, NonFiniteCoordinatesThrow) {
+  const std::vector<TypeId> types{1, 0, 1, 0};
+  const std::vector<Vec2> finite{{0, 0}, {1, 0}, {0, 1}, {1, 1}};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<Vec2> broken = finite;
+    broken[2].y = bad;
+    EXPECT_THROW((void)match_by_type(broken, types, finite, types),
+                 sops::PreconditionError)
+        << bad;
+    EXPECT_THROW((void)match_by_type(finite, types, broken, types),
+                 sops::PreconditionError)
+        << bad;
+  }
+}
+
 TEST(MatchByType, MismatchedHistogramsThrow) {
   const std::vector<Vec2> points{{0, 0}, {1, 1}};
   const std::vector<TypeId> a{0, 0};

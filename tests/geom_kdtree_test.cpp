@@ -343,6 +343,136 @@ TEST(KdTree, BlockedQueriesOnDuplicateCloud) {
   EXPECT_EQ(tree.count_within_blocks(query, 0.5, blocks, 0), 39u);
 }
 
+// Every point of `data` as a leave-one-out query (the KSG usage) plus the
+// same points without a skip, each radius, in batches of four: the batched
+// and single-query counts must equal the brute-force scan's.
+void expect_counts_match_oracle(const std::vector<double>& data,
+                                std::size_t dim,
+                                const std::vector<sops::geom::DimBlock>& blocks,
+                                const std::vector<double>& radii) {
+  const KdTree tree(data, dim);
+  const BruteForceSearcher oracle(data, dim);
+  const std::size_t count = data.size() / dim;
+  constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
+  for (const double radius : radii) {
+    for (std::size_t s0 = 0; s0 < count; s0 += 4) {
+      const std::size_t batch = std::min<std::size_t>(4, count - s0);
+      const std::vector<double> batch_radii(batch, radius);
+      for (const bool leave_one_out : {true, false}) {
+        std::vector<std::size_t> skips(batch);
+        for (std::size_t b = 0; b < batch; ++b) {
+          skips[b] = leave_one_out ? s0 + b : kNoSkip;
+        }
+        std::vector<std::size_t> counts(batch);
+        tree.count_within_blocks({data.data() + s0 * dim, batch * dim},
+                                 batch_radii, blocks, skips, counts);
+        for (std::size_t b = 0; b < batch; ++b) {
+          const std::span<const double> query{data.data() + (s0 + b) * dim,
+                                              dim};
+          const std::size_t expected =
+              oracle.count_within_blocks(query, radius, blocks, skips[b]);
+          EXPECT_EQ(counts[b], expected)
+              << "radius=" << radius << " s=" << s0 + b
+              << " skip=" << leave_one_out;
+          EXPECT_EQ(tree.count_within_blocks(query, radius, blocks, skips[b]),
+                    expected)
+              << "radius=" << radius << " s=" << s0 + b;
+        }
+      }
+    }
+  }
+}
+
+TEST(KdTreeSubtreeCount, RadiusSwallowingTheWholeTree) {
+  const auto data = random_points(300, 2, 71);
+  // Diameter of the [-10, 10]² cloud is below 29; 1e200² overflows to inf,
+  // which every finite squared distance is still strictly below.
+  expect_counts_match_oracle(data, 2, {{0, 2}}, {30.0, 1e3, 1e200});
+  expect_counts_match_oracle(random_points(300, 4, 72), 4, {{0, 2}, {2, 2}},
+                             {30.0, 1e200});
+  const KdTree tree(data, 2);
+  const std::vector<sops::geom::DimBlock> blocks = {{0, 2}};
+  EXPECT_EQ(tree.count_within_blocks({data.data(), 2}, 30.0, blocks, 0), 299u);
+  EXPECT_EQ(tree.count_within_blocks({data.data(), 2}, 30.0, blocks), 300u);
+}
+
+TEST(KdTreeSubtreeCount, RadiusEqualToABoxCornerDistance) {
+  // Integer lattice queried from its own points: box corners are lattice
+  // offsets, so d² = 25 (3-4-5) and 100 (6-8-10) land exactly on corners of
+  // many boxes. Strict < must reject the corner there and accept it one ulp
+  // further out.
+  std::vector<double> data;
+  for (int y = 0; y < 12; ++y) {
+    for (int x = 0; x < 12; ++x) {
+      data.push_back(x);
+      data.push_back(y);
+    }
+  }
+  std::vector<double> radii;
+  for (const double r : {1.0, 2.0, 5.0, 10.0}) {
+    radii.push_back(r);
+    radii.push_back(std::nextafter(r, 0.0));
+    radii.push_back(std::nextafter(r, 100.0));
+  }
+  expect_counts_match_oracle(data, 2, {{0, 2}}, radii);
+  expect_counts_match_oracle(data, 2, {{0, 1}, {1, 1}}, radii);
+}
+
+TEST(KdTreeSubtreeCount, DuplicateCloud) {
+  // Large all-identical leaves plus a few distinct points: zero-extent boxes
+  // whose corner is the query itself, and ε = 0 ties.
+  std::vector<double> data(100 * 2, 0.5);
+  for (std::size_t i = 90; i < 100; ++i) data[2 * i] = static_cast<double>(i);
+  expect_counts_match_oracle(data, 2, {{0, 2}},
+                             {0.0, 1e-300, 0.5, 1.0, 50.0, 200.0});
+}
+
+TEST(KdTreeSubtreeCount, InfiniteCoordinates) {
+  auto data = random_points(120, 2, 73);
+  const double inf = std::numeric_limits<double>::infinity();
+  data[2 * 5] = inf;
+  data[2 * 40 + 1] = -inf;
+  data[2 * 77] = -inf;
+  data[2 * 77 + 1] = inf;
+  // Finite queries only: the oracle's own inf − inf would be NaN.
+  std::vector<double> finite;
+  for (std::size_t i = 0; i < 120; ++i) {
+    if (std::isfinite(data[2 * i]) && std::isfinite(data[2 * i + 1])) {
+      finite.push_back(data[2 * i]);
+      finite.push_back(data[2 * i + 1]);
+    }
+  }
+  const KdTree tree(data, 2);
+  const BruteForceSearcher oracle(data, 2);
+  const std::vector<sops::geom::DimBlock> blocks = {{0, 1}, {1, 1}};
+  for (const double radius : {3.0, 30.0, 1e200}) {
+    for (std::size_t q = 0; q < finite.size() / 2; ++q) {
+      const std::span<const double> query{finite.data() + 2 * q, 2};
+      EXPECT_EQ(tree.count_within_blocks(query, radius, blocks),
+                oracle.count_within_blocks(query, radius, blocks))
+          << "radius=" << radius << " q=" << q;
+    }
+  }
+  EXPECT_EQ(tree.count_within_blocks({finite.data(), 2}, 1e200, blocks), 117u);
+}
+
+TEST(KdTreeSubtreeCount, NanCoordinateInsideOneLeaf) {
+  // x spans [-1000, 1000] and y only [-1, 1], so every split is on x and
+  // the NaN y coordinate of one point never steers the descent; its box is
+  // NaN on y up to the root, so no subtree holding it is counted whole.
+  // Under the per-axis block metric the point is counted exactly when its
+  // x block is within the radius, by tree and scan alike.
+  sops::rng::Xoshiro256 engine(74);
+  std::vector<double> data;
+  for (std::size_t i = 0; i < 200; ++i) {
+    data.push_back(sops::rng::uniform(engine, -1000.0, 1000.0));
+    data.push_back(sops::rng::uniform(engine, -1.0, 1.0));
+  }
+  data[2 * 123 + 1] = std::numeric_limits<double>::quiet_NaN();
+  expect_counts_match_oracle(data, 2, {{0, 1}, {1, 1}},
+                             {5.0, 50.0, 500.0, 3000.0});
+}
+
 TEST(KdTree, WrongQueryDimensionThrows) {
   const auto data = random_points(10, 3, 51);
   const KdTree tree(data, 3);

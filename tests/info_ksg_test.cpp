@@ -2,8 +2,12 @@
 // synthetic ensembles with known mutual information.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <vector>
 
+#include "info/digamma.hpp"
 #include "info/entropy.hpp"
 #include "info/ksg.hpp"
 #include "rng/engine.hpp"
@@ -18,6 +22,7 @@ using sops::info::gaussian_mi_bits;
 using sops::info::KsgConvention;
 using sops::info::KsgOptions;
 using sops::info::multi_information_ksg;
+using sops::info::NeighborSearch;
 using sops::info::SampleMatrix;
 using sops::rng::Xoshiro256;
 
@@ -187,6 +192,122 @@ TEST(Ksg, DuplicatedSamplesDoNotCrash) {
   }
   const double mi = multi_information_ksg(samples, 1);
   EXPECT_TRUE(std::isfinite(mi));
+}
+
+// Frozen copy of the estimator as it stood before the joint ε used a
+// partial-distance search and the marginal counts used whole subtrees:
+// every block-max distance, sqrt, nth_element for the k-th; then an
+// exhaustive strict-< count per block. Do not optimize it — it is the
+// oracle the production searches must reproduce bit for bit.
+double frozen_ksg(const SampleMatrix& samples, const std::vector<Block>& blocks,
+                  std::size_t k, KsgConvention convention) {
+  const std::size_t m = samples.count();
+  const auto block_sq = [&](std::size_t a, std::size_t b, const Block& block) {
+    double sum = 0.0;
+    for (std::size_t d = block.offset; d < block.offset + block.dim; ++d) {
+      const double diff = samples(a, d) - samples(b, d);
+      sum += diff * diff;
+    }
+    return sum;
+  };
+  std::vector<double> per_sample(m, 0.0);
+  std::vector<double> dists;
+  for (std::size_t s = 0; s < m; ++s) {
+    dists.clear();
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j == s) continue;
+      double max_sq = 0.0;
+      for (const Block& block : blocks) {
+        max_sq = std::max(max_sq, block_sq(s, j, block));
+      }
+      dists.push_back(std::sqrt(max_sq));
+    }
+    std::nth_element(dists.begin(),
+                     dists.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     dists.end());
+    const double eps = dists[k - 1];
+    const double eps_sq = eps * eps;
+    double psi_sum = 0.0;
+    for (const Block& block : blocks) {
+      std::size_t c = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (j != s && block_sq(s, j, block) < eps_sq) ++c;
+      }
+      psi_sum += sops::info::digamma_int(
+          convention == KsgConvention::kStandard ? c + 1
+                                                 : std::max<std::size_t>(c, 1));
+    }
+    per_sample[s] = psi_sum;
+  }
+  double mean_psi = 0.0;
+  for (const double v : per_sample) mean_psi += v;
+  mean_psi /= static_cast<double>(m);
+  const double nats =
+      sops::info::digamma_int(k) +
+      (static_cast<double>(blocks.size()) - 1.0) * sops::info::digamma_int(m) -
+      mean_psi;
+  return nats * std::numbers::log2e;
+}
+
+// Both neighbor searches, serial and on a lent pool, at k ∈ {1, 4, m − 1}
+// and both conventions, against the frozen estimator: bitwise.
+void expect_matches_frozen(const SampleMatrix& samples,
+                           const std::vector<Block>& blocks,
+                           const char* label) {
+  sops::support::TaskPool pool(3);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4},
+                              samples.count() - 1}) {
+    for (const KsgConvention convention :
+         {KsgConvention::kStandard, KsgConvention::kPaperLiteral}) {
+      const double expected = frozen_ksg(samples, blocks, k, convention);
+      for (const NeighborSearch search :
+           {NeighborSearch::kBlockedTree, NeighborSearch::kBruteForce}) {
+        KsgOptions options;
+        options.k = k;
+        options.convention = convention;
+        options.search = search;
+        options.threads = 1;
+        EXPECT_EQ(multi_information_ksg(samples, blocks, options), expected)
+            << label << " k=" << k;
+        options.executor = &pool.executor();
+        EXPECT_EQ(multi_information_ksg(samples, blocks, options), expected)
+            << label << " k=" << k << " pooled";
+      }
+    }
+  }
+}
+
+TEST(KsgExactness, MatchesFrozenEstimatorOnWideTwoDimBlocks) {
+  // Fig. 4's shape in miniature: many 2-D observer blocks, so ε from the
+  // joint max norm covers most of each marginal and the counts are mostly
+  // whole subtrees.
+  const SampleMatrix samples = independent_gaussians(150, 40, 141);
+  expect_matches_frozen(samples, sops::info::uniform_blocks(20, 2), "wide");
+}
+
+TEST(KsgExactness, MatchesFrozenEstimatorOnCorrelatedScalars) {
+  const SampleMatrix samples = correlated_pair(200, 0.8, 151);
+  expect_matches_frozen(samples, {{0, 1}, {1, 1}}, "pair");
+}
+
+TEST(KsgExactness, MatchesFrozenEstimatorWithUnequalBlockWidths) {
+  const SampleMatrix samples = independent_gaussians(120, 7, 161);
+  expect_matches_frozen(samples, {{0, 1}, {1, 3}, {4, 2}, {6, 1}}, "unequal");
+  expect_matches_frozen(samples, {{4, 2}, {0, 1}, {6, 1}, {1, 3}},
+                        "unequal, reordered");
+}
+
+TEST(KsgExactness, MatchesFrozenEstimatorOnDuplicatedRows) {
+  // Every row appears three times (plus a few singletons): ε = 0 ties for
+  // small k, and zero-extent leaves in every marginal tree.
+  const SampleMatrix base = independent_gaussians(30, 6, 171);
+  SampleMatrix samples(96, 6);
+  for (std::size_t s = 0; s < 96; ++s) {
+    for (std::size_t d = 0; d < 6; ++d) {
+      samples(s, d) = s < 90 ? base(s % 30, d) : base(s - 90, d) + 0.25;
+    }
+  }
+  expect_matches_frozen(samples, sops::info::uniform_blocks(3, 2), "dup");
 }
 
 TEST(Ksg, PreconditionsEnforced) {
