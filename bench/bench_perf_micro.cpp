@@ -1398,6 +1398,54 @@ KsgFig4Row measure_ksg_fig4_row() {
   return row;
 }
 
+// The paper row's permutation step: n = 1024, 3 types, two independent
+// samples of the initial disc (radius 48, as in BM_IcpAlignPaperRow), the
+// source matched onto a reference indexed once, as align_ensemble matches
+// each row of a frame. The frozen sort-every-pair matcher is the yardstick;
+// by the matcher's contract every overload must return its exact
+// permutation, which the row's CHECK asserts.
+struct MatchPaperRow {
+  std::size_t n = 0;
+  double frozen_ms = 0.0;
+  double ms = 0.0;
+  bool bitwise_match = false;
+};
+
+MatchPaperRow measure_match_paper_row() {
+  const auto reference = random_system(1024, 48.0, 3, 11);
+  const auto sample = random_system(1024, 48.0, 3, 12);
+  const std::vector<geom::Vec2> target_points =
+      geom::centered(reference.positions_aos());
+  const std::vector<geom::Vec2> source = geom::centered(sample.positions_aos());
+  const align::IcpTarget target(target_points, reference.types);
+  constexpr int kRows = 20;
+  const auto per_row_ms = [&](const auto& match) {
+    return best_cost([&] {
+      const auto start = std::chrono::steady_clock::now();
+      for (int r = 0; r < kRows; ++r) benchmark::DoNotOptimize(match());
+      return std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - start)
+                 .count() /
+             kRows;
+    });
+  };
+  MatchPaperRow row;
+  row.n = source.size();
+  row.ms = per_row_ms(
+      [&] { return align::match_by_type(source, sample.types, target); });
+  row.frozen_ms = per_row_ms([&] {
+    return prestream::match_by_type(source, sample.types, target_points,
+                                    reference.types);
+  });
+  const std::vector<std::size_t> frozen = prestream::match_by_type(
+      source, sample.types, target_points, reference.types);
+  row.bitwise_match =
+      align::match_by_type(source, sample.types, target) == frozen &&
+      align::match_by_type(source, sample.types, target_points,
+                           reference.types) == frozen;
+  return row;
+}
+
 // The paper-shaped analyzer row: n = 1024 particles, m = 100 samples on a
 // 6-frame recording grid — the workload the streaming pipeline targets.
 core::ExperimentConfig paper_row_experiment() {
@@ -1818,6 +1866,22 @@ void emit_engine_json() {
               ksg_fig4.frozen_seconds, ksg_fig4_speedup,
               ksg_fig4.bitwise_match ? "identical" : "DIVERGED");
 
+  // The counted-tree matcher against the frozen sort-every-pair matcher at
+  // the paper row, both timed in this run.
+  const MatchPaperRow match_row = measure_match_paper_row();
+  const double match_speedup =
+      match_row.ms > 0.0 ? match_row.frozen_ms / match_row.ms : 0.0;
+  std::fprintf(out,
+               "  \"match_paper_row\": {\"n\": %zu, \"types\": 3, "
+               "\"frozen_ms\": %.4f, \"ms\": %.4f, \"speedup\": %.2f, "
+               "\"bitwise\": %s},\n",
+               match_row.n, match_row.frozen_ms, match_row.ms, match_speedup,
+               match_row.bitwise_match ? "true" : "false");
+  std::printf("match paper row n=%zu: %.4f ms vs %.4f ms frozen sorted "
+              "matcher (%.2fx), bitwise %s\n",
+              match_row.n, match_row.ms, match_row.frozen_ms, match_speedup,
+              match_row.bitwise_match ? "identical" : "DIVERGED");
+
   // Read the engine's whole-run high-water mark *before* the frame-store
   // fill below: the fill's deliberate 125 MiB heap allocation would
   // otherwise become the process peak and mask engine RSS regressions.
@@ -1933,6 +1997,12 @@ void emit_engine_json() {
               ksg_fig4.bitwise_match ? "[PASS]" : "[FAIL]", ksg_fig4.samples,
               ksg_fig4.blocks, ksg_fig4_speedup, ksg_fig4.seconds,
               ksg_fig4.frozen_seconds);
+  std::printf("CHECK %s match_paper_row: counted-tree matcher equals the "
+              "frozen sorted matcher at n=%zu (%s; %.2fx: %.4f ms vs %.4f ms "
+              "frozen, same run)\n",
+              match_row.bitwise_match ? "[PASS]" : "[FAIL]", match_row.n,
+              match_row.bitwise_match ? "identical" : "DIVERGED",
+              match_speedup, match_row.ms, match_row.frozen_ms);
   std::printf("CHECK %s mapped frame store keeps < 50%% of the heap "
               "recording footprint resident (%ld vs %ld KB at m=%zu)\n",
               heap_fill_kb <= 0 ? "[SKIP, no /proc/self/statm]"

@@ -1,6 +1,7 @@
 #include "align/ensemble.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 
 #include "cluster/kmeans.hpp"
@@ -43,20 +44,23 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
 
   support::Executor& executor = support::executor_or_inline(options.executor);
 
-  // Every (row, restart) descent is one task of a single batch, so the
-  // runners stay busy until the last descent of the frame; the reference
-  // is indexed once for all of them. Each task writes its own slot and
-  // centres its own copy of the row, so nothing a task allocates outlives
-  // it.
+  // The reference is indexed once, on the frame's runners, for every
+  // descent and every row's matching. Every (row, restart) descent is one
+  // task of a single batch, so the runners stay busy until the last
+  // descent of the frame. Each task writes its own slot and centres its
+  // own copy of the row, so nothing a task allocates outlives it.
   const std::size_t restarts = options.icp.rotation_restarts;
   std::vector<IcpResult> fits;
+  std::optional<IcpTarget> target;
+  if (options.rotations || options.permutations) {
+    target.emplace(reference, types, options.executor);
+  }
   if (options.rotations) {
     support::expect(restarts >= 1, "align_icp: need at least one restart");
-    const IcpTarget target(reference, types);
     fits.resize((m - 1) * restarts);
     auto descend = [&](std::size_t task) {
       const std::size_t s = 1 + task / restarts;
-      fits[task] = icp_restart(geom::centered(configs[s]), types, target,
+      fits[task] = icp_restart(geom::centered(configs[s]), types, *target,
                                task % restarts, options.icp);
     };
     executor.run(fits.size(), descend);
@@ -74,7 +78,7 @@ AlignedEnsemble align_rows(std::span<const std::span<const geom::Vec2>> configs,
     }
     if (options.permutations) {
       const std::vector<std::size_t> match =
-          match_by_type(moved, types, reference, types);
+          match_by_type(moved, types, *target);
       // Observer j of this sample is the particle matched to reference
       // particle j.
       std::vector<geom::Vec2> permuted(n);

@@ -1,6 +1,7 @@
 #include "align/icp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -8,6 +9,7 @@
 
 #include "geom/kdtree.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
 
 namespace sops::align {
 namespace {
@@ -21,6 +23,14 @@ namespace {
 constexpr double kMargin = 1e-6;
 constexpr double kRoundOff = 1e-12;
 constexpr double kMinRadius = 1e-100;
+
+// Fewest index queries (neighbor lists and grid cells) per task of the
+// IcpTarget build's batch. A neighbor list costs about a microsecond; a
+// pool dispatch costs tens of microseconds, and more when the runners
+// share their cores with a running simulation, as streamed analysis does.
+// At 512 a reference of up to ~256 particles is indexed inline and the
+// paper row's 1024 split into four tasks (1.2 ms → ~0.5 ms on 4 runners).
+constexpr std::size_t kQueriesPerTask = 512;
 
 // Every candidate a warm start tests is a leaf point of its type's tree.
 static_assert(IcpTarget::kNeighbors <= geom::KdTree::kLeafSize);
@@ -41,6 +51,18 @@ void check_type_histograms(std::span<const sim::TypeId> a,
   support::expect(ha == hb, "align: type histograms differ");
 }
 
+// `types` has exactly `expected[t]` members of each type t.
+void check_type_counts(std::span<const sim::TypeId> types,
+                       std::span<const std::size_t> expected) {
+  std::vector<std::size_t> counts(expected.size(), 0);
+  for (const sim::TypeId t : types) {
+    support::expect(t < counts.size(), "align: type histograms differ");
+    ++counts[t];
+  }
+  support::expect(std::equal(counts.begin(), counts.end(), expected.begin()),
+                  "align: type histograms differ");
+}
+
 // Every align_icp/icp_restart precondition, checked before any distance
 // arithmetic can meet a NaN.
 void check_icp_inputs(std::span<const geom::Vec2> source,
@@ -54,14 +76,88 @@ void check_icp_inputs(std::span<const geom::Vec2> source,
   support::expect(options.rotation_restarts >= 1,
                   "align_icp: need at least one restart");
   support::expect(all_finite(source), "align_icp: non-finite source coordinate");
-  const std::span<const std::size_t> expected = target.type_counts();
-  std::vector<std::size_t> counts(expected.size(), 0);
-  for (const sim::TypeId t : source_types) {
-    support::expect(t < counts.size(), "align: type histograms differ");
-    ++counts[t];
+  check_type_counts(source_types, target.type_counts());
+}
+
+// The IcpTarget constructor's checks, made before any index is built.
+TypeTrees checked_type_trees(std::span<const geom::Vec2> points,
+                             std::span<const sim::TypeId> types) {
+  support::expect(!points.empty() && points.size() == types.size(),
+                  "align_icp: invalid inputs");
+  support::expect(all_finite(points), "align_icp: non-finite target coordinate");
+  return TypeTrees(points, types);
+}
+
+// The greedy same-type matching behind both match_by_type overloads, on
+// validated inputs: the target's per-type trees index `target`. Types are
+// matched one after another — pairs never cross types, so each type's
+// commit order is its slice of the global (dist_sq, s, t) order — each on
+// its own heap of source entries and one live set, both reused.
+std::vector<std::size_t> greedy_match(std::span<const geom::Vec2> source,
+                                      std::span<const sim::TypeId> source_types,
+                                      const TypeTrees& trees) {
+  struct Pair {
+    double dist_sq;
+    std::uint32_t s;
+    std::uint32_t t;  // the target's index in its type's tree
+  };
+  const auto later = [](const Pair& a, const Pair& b) noexcept {
+    if (a.dist_sq != b.dist_sq) return a.dist_sq > b.dist_sq;
+    if (a.s != b.s) return a.s > b.s;  // deterministic tie-break
+    return a.t > b.t;  // tree order is target index order
+  };
+
+  // Sources grouped by type, ascending within each (a counting sort).
+  const std::size_t n = source.size();
+  const std::size_t type_count = trees.type_count();
+  std::vector<std::uint32_t> start(type_count + 1, 0);
+  for (const sim::TypeId t : source_types) ++start[t + 1];
+  for (std::size_t t = 0; t < type_count; ++t) start[t + 1] += start[t];
+  std::vector<std::uint32_t> sources(n);
+  {
+    std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
+    for (std::uint32_t s = 0; s < n; ++s) sources[cursor[source_types[s]]++] = s;
   }
-  support::expect(std::equal(counts.begin(), counts.end(), expected.begin()),
-                  "align: type histograms differ");
+
+  std::vector<std::size_t> match(n, n);
+  std::size_t committed = 0;
+  std::vector<Pair> heap;
+  heap.reserve(n);
+  std::vector<char> used;
+  geom::KdTree::LiveSet live;
+  for (std::size_t type = 0; type < type_count; ++type) {
+    const geom::KdTree& tree = trees.tree(type);
+    const std::span<const std::uint32_t> members = trees.members(type);
+    if (members.empty()) continue;
+    tree.reset_live(live);
+    const auto best_candidate = [&](std::uint32_t s) {
+      const double query[2] = {source[s].x, source[s].y};
+      const geom::Neighbor nn = tree.nearest_live({query, 2}, live);
+      return Pair{nn.dist_sq, s, static_cast<std::uint32_t>(nn.index)};
+    };
+    heap.clear();
+    for (std::uint32_t k = start[type]; k < start[type + 1]; ++k) {
+      heap.push_back(best_candidate(sources[k]));
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    used.assign(members.size(), 0);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const Pair p = heap.back();
+      heap.pop_back();
+      if (used[p.t]) {
+        heap.push_back(best_candidate(p.s));
+        std::push_heap(heap.begin(), heap.end(), later);
+        continue;
+      }
+      match[p.s] = members[p.t];
+      used[p.t] = 1;
+      tree.remove_live(p.t, live);
+      ++committed;
+    }
+  }
+  support::expect(committed == n, "match_by_type: incomplete matching");
+  return match;
 }
 
 // One ICP descent from the given initial rotation (about the source
@@ -156,52 +252,53 @@ double restart_angle(std::size_t restart, const IcpOptions& options) {
 // 2-D tree computes the same correspondence directly (for same-type pairs
 // the lifted distance *is* the planar distance: the type axis contributes
 // exactly 0.0) and skips every wrong-type candidate.
-IcpTarget::IcpTarget(std::span<const geom::Vec2> points,
-                     std::span<const sim::TypeId> types)
-    : points_(points.begin(), points.end()),
-      types_(types.begin(), types.end()) {
-  support::expect(!points.empty() && points.size() == types.size(),
-                  "align_icp: invalid inputs");
-  support::expect(all_finite(points), "align_icp: non-finite target coordinate");
+TypeTrees::TypeTrees(std::span<const geom::Vec2> points,
+                     std::span<const sim::TypeId> types) {
+  support::expect(points.size() == types.size(), "TypeTrees: size mismatch");
   sim::TypeId max_type = 0;
   for (const sim::TypeId t : types) max_type = std::max(max_type, t);
   const std::size_t type_count = static_cast<std::size_t>(max_type) + 1;
-  type_counts_ = sim::type_histogram(types, type_count);
   coords_.resize(type_count);
-  index_.resize(type_count);
+  members_.resize(type_count);
   for (std::size_t i = 0; i < points.size(); ++i) {
     coords_[types[i]].push_back(points[i].x);
     coords_[types[i]].push_back(points[i].y);
-    index_[types[i]].push_back(static_cast<std::uint32_t>(i));
+    members_[types[i]].push_back(static_cast<std::uint32_t>(i));
   }
   trees_.reserve(type_count);
   for (std::size_t type = 0; type < type_count; ++type) {
     trees_.emplace_back(coords_[type], 2);
   }
+}
 
+IcpTarget::IcpTarget(std::span<const geom::Vec2> points,
+                     std::span<const sim::TypeId> types,
+                     support::Executor* executor)
+    : points_(points.begin(), points.end()),
+      types_(types.begin(), types.end()),
+      trees_(checked_type_trees(points, types)),
+      type_counts_(sim::type_histogram(types, trees_.type_count())) {
   // A type that fits in one tree leaf is answered by a single leaf scan,
   // which is cheaper than the candidate test; it keeps no warm start and no
   // grid. Otherwise the grid has about one cell per member: side
   // √(area / members), but no narrower than extent / members, so a thin
   // type cannot ask for a quadratic cell count (at most 3·members + 1 cells
   // either way). A type of coincident points, or one whose extent
-  // overflows, gets one cell.
+  // overflows, gets one cell. The geometry is laid out first; the queries
+  // (each warm type's neighbor lists, then its cells) follow as one batch.
+  struct Segment {
+    std::size_t type;
+    bool cells;          // grid cells, else neighbor lists
+    std::size_t first;   // index of the segment's first query in the batch
+    std::size_t count;
+  };
+  std::vector<Segment> segments;
+  std::size_t queries = 0;
   warm_.assign(points.size(), WarmStart{{}, -1.0});
-  grids_.resize(type_count);
-  for (std::size_t type = 0; type < type_count; ++type) {
-    const std::vector<std::uint32_t>& members = index_[type];
+  grids_.resize(trees_.type_count());
+  for (std::size_t type = 0; type < trees_.type_count(); ++type) {
+    const std::span<const std::uint32_t> members = trees_.members(type);
     if (members.size() <= geom::KdTree::kLeafSize) continue;
-    for (std::size_t local = 0; local < members.size(); ++local) {
-      const std::vector<geom::Neighbor> nearest = trees_[type].k_nearest(
-          {coords_[type].data() + 2 * local, 2}, kNeighbors, local);
-      WarmStart& warm = warm_[members[local]];
-      for (std::size_t k = 0; k < kNeighbors; ++k) {
-        warm.neighbors[k] = members[nearest[k].index];
-      }
-      const double radius = std::sqrt(nearest.back().dist_sq);
-      if (radius >= kMinRadius) warm.radius = radius;
-    }
-
     geom::Vec2 lo = points_[members.front()];
     geom::Vec2 hi = lo;
     for (const std::uint32_t i : members) {
@@ -223,22 +320,68 @@ IcpTarget::IcpTarget(std::span<const geom::Vec2> points,
       grid.nx = grid.ny = 1;
     }
     grid.cells.resize(grid.nx * grid.ny);
-    for (std::size_t iy = 0; iy < grid.ny; ++iy) {
-      for (std::size_t ix = 0; ix < grid.nx; ++ix) {
-        const geom::Vec2 centre{
-            lo.x + (static_cast<double>(ix) + 0.5) * grid.cell,
-            lo.y + (static_cast<double>(iy) + 0.5) * grid.cell};
-        grid.cells[iy * grid.nx + ix] =
-            nearest(centre, static_cast<sim::TypeId>(type));
+    segments.push_back({type, false, queries, members.size()});
+    queries += members.size();
+    segments.push_back({type, true, queries, grid.cells.size()});
+    queries += grid.cells.size();
+  }
+
+  const auto neighbor_list = [&](std::size_t type, std::size_t local,
+                                 std::span<geom::Neighbor> nearest) {
+    const std::span<const std::uint32_t> members = trees_.members(type);
+    const geom::Vec2 p = points_[members[local]];
+    const double query[2] = {p.x, p.y};
+    (void)trees_.tree(type).k_nearest({query, 2}, nearest, local);
+    WarmStart& warm = warm_[members[local]];
+    for (std::size_t k = 0; k < kNeighbors; ++k) {
+      warm.neighbors[k] = members[nearest[k].index];
+    }
+    const double radius = std::sqrt(nearest.back().dist_sq);
+    if (radius >= kMinRadius) warm.radius = radius;
+  };
+  const auto grid_cell = [&](std::size_t type, std::size_t c) {
+    Grid& grid = grids_[type];
+    const std::size_t ix = c % grid.nx;
+    const std::size_t iy = c / grid.nx;
+    const geom::Vec2 centre{
+        grid.origin.x + (static_cast<double>(ix) + 0.5) * grid.cell,
+        grid.origin.y + (static_cast<double>(iy) + 0.5) * grid.cell};
+    grid.cells[c] = nearest(centre, static_cast<sim::TypeId>(type));
+  };
+  const auto run_queries = [&](std::size_t begin, std::size_t end) {
+    std::array<geom::Neighbor, kNeighbors> nearest;
+    for (const Segment& segment : segments) {
+      const std::size_t from = std::max(begin, segment.first);
+      const std::size_t to = std::min(end, segment.first + segment.count);
+      for (std::size_t q = from; q < to; ++q) {
+        if (segment.cells) {
+          grid_cell(segment.type, q - segment.first);
+        } else {
+          neighbor_list(segment.type, q - segment.first, nearest);
+        }
       }
     }
+  };
+
+  // Every query writes its own slot, so the batch may run on any runners:
+  // one dispatch, in tasks of at least kQueriesPerTask queries, so a small
+  // reference is indexed inline.
+  const std::size_t tasks = queries / kQueriesPerTask;
+  if (tasks <= 1) {
+    run_queries(0, queries);
+    return;
   }
+  auto task = [&](std::size_t k) {
+    const support::ChunkRange range = support::chunk_range(k, queries, tasks);
+    run_queries(range.begin, range.end);
+  };
+  support::executor_or_inline(executor).run(tasks, task);
 }
 
 std::uint32_t IcpTarget::nearest(geom::Vec2 q, sim::TypeId type) const {
   const double query[2] = {q.x, q.y};
-  const geom::Neighbor nn = trees_[type].nearest({query, 2});
-  return index_[type][nn.index];
+  const geom::Neighbor nn = trees_.tree(type).nearest({query, 2});
+  return trees_.members(type)[nn.index];
 }
 
 std::uint32_t IcpTarget::nearest_from(geom::Vec2 q,
@@ -276,8 +419,8 @@ IcpMatch IcpTarget::match_from(geom::Vec2 q, std::uint32_t previous) const {
   }
   const sim::TypeId type = types_[previous];
   const double query[2] = {q.x, q.y};
-  const geom::Neighbor nn = trees_[type].nearest({query, 2}, best_d2);
-  return {index_[type][nn.index]};
+  const geom::Neighbor nn = trees_.tree(type).nearest({query, 2}, best_d2);
+  return {trees_.members(type)[nn.index]};
 }
 
 IcpMatch IcpTarget::match(geom::Vec2 q, sim::TypeId type) const {
@@ -359,83 +502,19 @@ std::vector<std::size_t> match_by_type(std::span<const geom::Vec2> source,
                   "match_by_type: non-finite source coordinate");
   support::expect(all_finite(target),
                   "match_by_type: non-finite target coordinate");
+  return greedy_match(source, source_types, TypeTrees(target, target_types));
+}
 
-  // Lazy greedy matching, output-identical to sorting all same-type pairs by
-  // (dist_sq, s, t) and committing greedily, without materializing the O(n²)
-  // pair list. Each source keeps one heap entry: its closest unused
-  // same-type target at the time the entry was pushed. Distances to a source
-  // never shrink as targets get used, so a stale entry (target used since)
-  // sorts no later than the source's true current best; popping it and
-  // re-pushing the recomputed best therefore preserves the global
-  // (dist_sq, s, t) commit order exactly, ties included.
-  struct Pair {
-    double dist_sq;
-    std::uint32_t s;
-    std::uint32_t t;
-  };
-  const auto later = [](const Pair& a, const Pair& b) noexcept {
-    if (a.dist_sq != b.dist_sq) return a.dist_sq > b.dist_sq;
-    if (a.s != b.s) return a.s > b.s;  // deterministic tie-break
-    return a.t > b.t;
-  };
-
-  const std::size_t n = source.size();
-  sim::TypeId max_type = 0;
-  for (const sim::TypeId t : target_types) max_type = std::max(max_type, t);
-  std::vector<std::vector<std::uint32_t>> targets_of_type(
-      static_cast<std::size_t>(max_type) + 1);
-  for (std::uint32_t t = 0; t < n; ++t) {
-    targets_of_type[target_types[t]].push_back(t);
-  }
-
-  std::vector<char> target_used(n, 0);
-  // Closest unused target of source s. The search starts from the first
-  // unused target of s's type, not from an infinite sentinel, so a type
-  // whose remaining squared distances all overflow to +inf still yields one
-  // of its own unused targets; strict < after that keeps the lowest index
-  // among equal distances, matching the sorted path's t tie-break. The
-  // histogram check guarantees an unused target exists whenever s is
-  // unmatched.
-  const auto best_candidate = [&](std::uint32_t s) noexcept {
-    const std::vector<std::uint32_t>& same_type =
-        targets_of_type[source_types[s]];
-    auto it = same_type.begin();
-    while (target_used[*it]) ++it;
-    Pair best{geom::dist_sq(source[s], target[*it]), s, *it};
-    for (++it; it != same_type.end(); ++it) {
-      const std::uint32_t t = *it;
-      if (target_used[t]) continue;
-      const double d2 = geom::dist_sq(source[s], target[t]);
-      if (d2 < best.dist_sq) {
-        best.dist_sq = d2;
-        best.t = t;
-      }
-    }
-    return best;
-  };
-
-  std::vector<Pair> heap;
-  heap.reserve(n);
-  for (std::uint32_t s = 0; s < n; ++s) heap.push_back(best_candidate(s));
-  std::make_heap(heap.begin(), heap.end(), later);
-
-  std::vector<std::size_t> match(n, n);
-  std::size_t committed = 0;
-  while (committed < n && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Pair p = heap.back();
-    heap.pop_back();
-    if (target_used[p.t]) {
-      heap.push_back(best_candidate(p.s));
-      std::push_heap(heap.begin(), heap.end(), later);
-      continue;
-    }
-    match[p.s] = p.t;
-    target_used[p.t] = 1;
-    ++committed;
-  }
-  support::expect(committed == n, "match_by_type: incomplete matching");
-  return match;
+std::vector<std::size_t> match_by_type(std::span<const geom::Vec2> source,
+                                       std::span<const sim::TypeId> source_types,
+                                       const IcpTarget& target) {
+  support::expect(source.size() == target.size() &&
+                      source.size() == source_types.size(),
+                  "match_by_type: invalid inputs");
+  check_type_counts(source_types, target.type_counts());
+  support::expect(all_finite(source),
+                  "match_by_type: non-finite source coordinate");
+  return greedy_match(source, source_types, target.type_trees());
 }
 
 }  // namespace sops::align

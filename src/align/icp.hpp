@@ -27,6 +27,10 @@
 // target the plain per-type tree search returns (see IcpTarget). A descent
 // whose correspondences all repeat stops at once: its next iteration could
 // only repeat them.
+//
+// The permutation step (match_by_type) runs on the same per-type trees: a
+// greedy same-type matching whose closest-unused-target queries search a
+// type's tree with the used targets counted out (KdTree::nearest_live).
 #pragma once
 
 #include <cstddef>
@@ -37,6 +41,10 @@
 #include "geom/kdtree.hpp"
 #include "geom/rigid_transform.hpp"
 #include "sim/particle_system.hpp"
+
+namespace sops::support {
+class Executor;
+}  // namespace sops::support
 
 namespace sops::align {
 
@@ -69,9 +77,39 @@ struct IcpMatch {
   double gap = -1.0;
 };
 
+/// A configuration's particles grouped by type, each type's coordinates
+/// indexed by its own 2-D k-d tree over [0, max type present]. A type's
+/// members are listed in ascending particle index, so a tree's point index
+/// order is particle index order: tree(t) point k is particle members(t)[k].
+class TypeTrees {
+ public:
+  /// Requires points.size() == types.size().
+  TypeTrees(std::span<const geom::Vec2> points,
+            std::span<const sim::TypeId> types);
+
+  // The trees view this object's coordinate buffers.
+  TypeTrees(const TypeTrees&) = delete;
+  TypeTrees& operator=(const TypeTrees&) = delete;
+
+  [[nodiscard]] std::size_t type_count() const noexcept {
+    return trees_.size();
+  }
+  [[nodiscard]] const geom::KdTree& tree(std::size_t type) const {
+    return trees_[type];
+  }
+  [[nodiscard]] std::span<const std::uint32_t> members(std::size_t type) const {
+    return members_[type];
+  }
+
+ private:
+  std::vector<std::vector<double>> coords_;          // per type: flat (x, y)
+  std::vector<std::vector<std::uint32_t>> members_;  // per type: ascending
+  std::vector<geom::KdTree> trees_;                  // per type, over coords_
+};
+
 /// The reference configuration of an alignment, indexed for the
 /// correspondence queries of every ICP restart run against it: one 2-D k-d
-/// tree per particle type, and for each reference particle its
+/// tree per particle type (TypeTrees), and for each reference particle its
 /// kNeighbors nearest same-type neighbors plus the distance R to the last
 /// of them (72 bytes per particle). Each type with warm starts also gets a
 /// grid over its bounding box, about one cell per member, naming the member
@@ -99,14 +137,23 @@ struct IcpMatch {
 /// d(q', x) ≥ L − δ, so c still wins by the factor 1 + ε, far above the
 /// round-off of every distance involved. An ICP descent keeps such a match
 /// with one distance test instead of a query.
+///
+/// The per-type trees also serve the frame's permutation step
+/// (match_by_type with a target), so one index per frame covers both.
 class IcpTarget {
  public:
   /// Warm-start candidates per reference particle, besides itself.
   static constexpr std::size_t kNeighbors = 16;
 
-  /// Indexes a non-empty configuration with finite coordinates.
+  /// Indexes a non-empty configuration with finite coordinates. The
+  /// warm-start neighbor lists and the grid cells are one batch of
+  /// independent queries, each writing its own slot, run on `executor`
+  /// (null: inline on the calling thread) in tasks large enough to pay for
+  /// a dispatch, so a small reference is indexed inline. The index is the
+  /// same, bit for bit, at any executor width.
   IcpTarget(std::span<const geom::Vec2> points,
-            std::span<const sim::TypeId> types);
+            std::span<const sim::TypeId> types,
+            support::Executor* executor = nullptr);
 
   // The trees view this object's coordinate buffers; a copy's trees would
   // view the original's.
@@ -121,6 +168,8 @@ class IcpTarget {
   [[nodiscard]] std::span<const std::size_t> type_counts() const noexcept {
     return type_counts_;
   }
+  /// The per-type trees the queries search.
+  [[nodiscard]] const TypeTrees& type_trees() const noexcept { return trees_; }
 
   /// Index of the reference particle of type `type` nearest to `q`; exact
   /// distance ties go to the first in the type tree's visit order.
@@ -162,12 +211,10 @@ class IcpTarget {
 
   std::vector<geom::Vec2> points_;
   std::vector<sim::TypeId> types_;
+  TypeTrees trees_;
   std::vector<std::size_t> type_counts_;
-  std::vector<std::vector<double>> coords_;        // per type: flat (x, y)
-  std::vector<std::vector<std::uint32_t>> index_;  // per type: global index
-  std::vector<geom::KdTree> trees_;                // per type, over coords_
-  std::vector<WarmStart> warm_;                    // per reference particle
-  std::vector<Grid> grids_;  // per type; no cells without warm starts
+  std::vector<WarmStart> warm_;  // per reference particle
+  std::vector<Grid> grids_;      // per type; no cells without warm starts
 };
 
 /// Correspondence-free alignment: finds g ∈ ISO⁺(2) minimizing the NN
@@ -203,12 +250,29 @@ class IcpTarget {
 
 /// One-to-one same-type correspondence: returns a permutation π with
 /// π[i] = index of the target particle matched to source particle i.
-/// Greedy by ascending pair distance within each type (each source and
-/// target particle used once). Types must have equal counts on both sides
-/// and every coordinate must be finite; a type whose remaining squared
-/// distances all overflow to +inf is matched by index order.
+/// Greedy by ascending pair distance within each type: the same-type pairs
+/// are committed in ascending (geom::dist_sq(source[s], target[t]), s, t)
+/// order, skipping any pair whose source or target is already matched.
+/// Types must have equal counts on both sides and every coordinate must be
+/// finite; a type whose remaining squared distances all overflow to +inf is
+/// matched by index order.
+///
+/// Each source keeps one heap entry, its closest unused same-type target,
+/// found by KdTree::nearest_live on the type's tree with used targets
+/// removed. An entry whose target was used since it was pushed is
+/// re-queried when it surfaces; distances to a source never shrink as
+/// targets are used, so the heap still commits pairs in the sorted order,
+/// ties included. Scratch is O(n) per call (the heap and one live set,
+/// sized by the largest type).
 [[nodiscard]] std::vector<std::size_t> match_by_type(
     std::span<const geom::Vec2> source, std::span<const sim::TypeId> source_types,
     std::span<const geom::Vec2> target, std::span<const sim::TypeId> target_types);
+
+/// Same, onto target.points() with the target's own per-type trees, so a
+/// frame's rows are matched without indexing the reference again. Requires
+/// source.size() == target.size() and the target's type histogram.
+[[nodiscard]] std::vector<std::size_t> match_by_type(
+    std::span<const geom::Vec2> source, std::span<const sim::TypeId> source_types,
+    const IcpTarget& target);
 
 }  // namespace sops::align

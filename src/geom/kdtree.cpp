@@ -7,20 +7,11 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 #include "support/error.hpp"
 
 namespace sops::geom {
 namespace {
-
-// Max-heap entry for k-NN search: the heap top is the current worst of the
-// best-k candidates, so it can be popped when a closer point arrives.
-struct HeapEntry {
-  double dist_sq;
-  std::size_t index;
-  bool operator<(const HeapEntry& o) const noexcept { return dist_sq < o.dist_sq; }
-};
 
 // Squared block-max distance between a stored point and a query, bailing out
 // as soon as the running max reaches `limit` (the discarded value cannot
@@ -132,6 +123,24 @@ bool KdTree::box_within(std::size_t id, const double* query,
     if (!(sum < radius_sq)) return false;
   }
   return true;
+}
+
+double KdTree::box_min_dist_sq(std::size_t id,
+                               const double* query) const noexcept {
+  // Per axis the query's gap to the box, summed in dim order like the leaf
+  // distances. A member p in [lo, hi] has fl(lo − q) <= fl(p − q) when the
+  // query is below the box (and fl(q − hi) <= fl(q − p) above it), and
+  // squaring and summing are monotone, so no member's d² is below this.
+  const double* lo = box(id);
+  const double* hi = lo + dim_;
+  double sum = 0.0;
+  for (std::size_t d = 0; d < dim_; ++d) {
+    const double below = lo[d] - query[d];
+    const double above = query[d] - hi[d];
+    const double gap = below > 0.0 ? below : above > 0.0 ? above : 0.0;
+    sum += gap * gap;
+  }
+  return sum;
 }
 
 double KdTree::dist_sq_to(std::size_t i,
@@ -321,23 +330,49 @@ std::size_t KdTree::nearest_generic(const double* query, double& best_d2) const 
 std::vector<Neighbor> KdTree::k_nearest(std::span<const double> query,
                                         std::size_t k,
                                         std::size_t skip_index) const {
-  support::expect(query.size() == dim_, "KdTree::k_nearest: wrong query dim");
-  std::vector<Neighbor> result;
-  if (count_ == 0 || k == 0) return result;
+  std::vector<Neighbor> result(std::min(k, count_));
+  result.resize(k_nearest(query, result, skip_index));
+  return result;
+}
 
-  std::priority_queue<HeapEntry> best;  // max-heap of current best k
-  auto worst = [&]() noexcept {
-    return best.size() < k ? std::numeric_limits<double>::infinity()
-                           : best.top().dist_sq;
+std::size_t KdTree::k_nearest(std::span<const double> query,
+                              std::span<Neighbor> out,
+                              std::size_t skip_index) const {
+  support::expect(query.size() == dim_, "KdTree::k_nearest: wrong query dim");
+  const std::size_t k = out.size();
+  if (count_ == 0 || k == 0) return 0;
+
+  // Max-heap of the current best k, with one spare entry: a closer point is
+  // pushed first and the worst popped after, so equal distances settle
+  // exactly as they would in a std::priority_queue of k + 1.
+  std::array<Neighbor, kInlineHeap + 1> inline_heap;
+  std::vector<Neighbor> spill_heap;
+  std::span<Neighbor> heap;
+  if (k <= kInlineHeap) {
+    heap = std::span<Neighbor>(inline_heap.data(), k + 1);
+  } else {
+    spill_heap.resize(k + 1);
+    heap = std::span<Neighbor>(spill_heap);
+  }
+  const auto farther = [](const Neighbor& a, const Neighbor& b) noexcept {
+    return a.dist_sq < b.dist_sq;
+  };
+  std::size_t size = 0;
+  const auto heap_end = [&]() noexcept {
+    return heap.begin() + static_cast<std::ptrdiff_t>(size);
+  };
+  const auto worst = [&]() noexcept {
+    return size < k ? std::numeric_limits<double>::infinity()
+                    : heap[0].dist_sq;
   };
 
-  // Iterative traversal with an explicit stack; visit the near child first
-  // and prune the far child against the current worst candidate.
-  std::vector<int> stack;
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    const int node_id = stack.back();
-    stack.pop_back();
+  // Depth-first traversal; visit the near child first and prune the far
+  // child against the current worst candidate.
+  std::array<int, kMaxTraversalStack> stack;
+  std::size_t top = 0;
+  stack[top++] = root_;
+  while (top > 0) {
+    const int node_id = stack[--top];
     if (node_id < 0) continue;
     const Node& node = nodes_[static_cast<std::size_t>(node_id)];
     if (node.is_leaf()) {
@@ -346,8 +381,12 @@ std::vector<Neighbor> KdTree::k_nearest(std::span<const double> query,
         if (idx == skip_index) continue;
         const double d2 = dist_sq_to(idx, query);
         if (d2 < worst()) {
-          best.push({d2, idx});
-          if (best.size() > k) best.pop();
+          heap[size++] = {idx, d2};
+          std::push_heap(heap.begin(), heap_end(), farther);
+          if (size > k) {
+            std::pop_heap(heap.begin(), heap_end(), farther);
+            --size;
+          }
         }
       }
       continue;
@@ -355,16 +394,91 @@ std::vector<Neighbor> KdTree::k_nearest(std::span<const double> query,
     const double delta = query[node.axis] - node.split;
     const int near_child = delta < 0.0 ? node.left : node.right;
     const int far_child = delta < 0.0 ? node.right : node.left;
-    if (delta * delta < worst()) stack.push_back(far_child);
-    stack.push_back(near_child);
+    if (delta * delta < worst()) stack[top++] = far_child;
+    stack[top++] = near_child;
   }
 
-  result.resize(best.size());
-  for (std::size_t i = result.size(); i-- > 0;) {
-    result[i] = {best.top().index, best.top().dist_sq};
-    best.pop();
+  const std::size_t found = size;
+  while (size > 0) {
+    out[size - 1] = heap[0];
+    std::pop_heap(heap.begin(), heap_end(), farther);
+    --size;
   }
-  return result;
+  return found;
+}
+
+void KdTree::reset_live(LiveSet& live) const {
+  live.nodes.resize(nodes_.size());
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    live.nodes[id] = static_cast<std::uint32_t>(nodes_[id].end - nodes_[id].begin);
+  }
+  live.slots.assign(count_, 1);
+}
+
+void KdTree::remove_live(std::size_t index, LiveSet& live) const {
+  support::expect(index < count_, "KdTree::remove_live: index out of range");
+  const std::size_t slot = slot_of_[index];
+  support::expect(live.slots[slot] != 0, "KdTree::remove_live: not live");
+  live.slots[slot] = 0;
+  auto id = static_cast<std::size_t>(root_);
+  for (;;) {
+    --live.nodes[id];
+    const Node& node = nodes_[id];
+    if (node.is_leaf()) return;
+    const auto left = static_cast<std::size_t>(node.left);
+    id = slot < nodes_[left].end ? left : static_cast<std::size_t>(node.right);
+  }
+}
+
+Neighbor KdTree::nearest_live(std::span<const double> query,
+                              const LiveSet& live) const {
+  support::expect(query.size() == dim_, "KdTree::nearest_live: wrong query dim");
+  support::expect(live.nodes.size() == nodes_.size() &&
+                      live.slots.size() == count_,
+                  "KdTree::nearest_live: live set of another tree");
+  support::expect(count_ > 0 && live.nodes[static_cast<std::size_t>(root_)] > 0,
+                  "KdTree::nearest_live: no live point");
+  Neighbor best{count_, std::numeric_limits<double>::infinity()};
+  std::array<int, kMaxTraversalStack> stack;
+  std::size_t top = 0;
+  stack[top++] = root_;
+  while (top > 0) {
+    const auto id = static_cast<std::size_t>(stack[--top]);
+    const Node& node = nodes_[id];
+    if (box_min_dist_sq(id, query.data()) > best.dist_sq) continue;
+    if (node.is_leaf()) {
+      for (std::size_t slot = node.begin; slot < node.end; ++slot) {
+        if (live.slots[slot] == 0) continue;
+        const double* p = leaf_point(slot);
+        double d2 = 0.0;
+        for (std::size_t d = 0; d < dim_; ++d) {
+          const double diff = query[d] - p[d];
+          d2 += diff * diff;
+        }
+        if (!(d2 <= best.dist_sq)) continue;
+        const std::size_t index = order_[slot];
+        if (d2 < best.dist_sq || index < best.index) best = {index, d2};
+      }
+      continue;
+    }
+    const double delta = query[node.axis] - node.split;
+    const int near_child = delta < 0.0 ? node.left : node.right;
+    const int far_child = delta < 0.0 ? node.right : node.left;
+    // Every far-side point is at least |delta| from the query along the
+    // split axis, and rounding is monotone, so its d² is at least delta²:
+    // at delta² == best it can still tie and win on index.
+    if (live.nodes[static_cast<std::size_t>(far_child)] > 0 &&
+        delta * delta <= best.dist_sq) {
+      stack[top++] = far_child;
+    }
+    if (live.nodes[static_cast<std::size_t>(near_child)] > 0) {
+      stack[top++] = near_child;
+    }
+  }
+  // Nothing is pruned while best is +inf, so with a live point and finite
+  // inputs the first live leaf always sets best.
+  support::expect(best.index < count_, "KdTree::nearest_live: internal error");
+  return best;
 }
 
 std::size_t KdTree::count_within(std::span<const double> query, double radius,
@@ -413,7 +527,9 @@ double KdTree::kth_block_dist_sq(std::span<const double> query, std::size_t k,
   // full distance multiset, so it is independent of traversal order:
   // a point skipped because its (partial) distance reached the current worst
   // could at best tie the k-th value, and a subtree pruned because the
-  // split-axis delta² reached the worst only holds such points.
+  // split-axis delta² reached the worst only holds such points. Nothing is
+  // skipped or pruned before the heap holds k entries, so distances that
+  // overflow to +inf still fill it.
   std::array<double, 64> inline_heap;
   std::vector<double> spill_heap;
   std::span<double> heap;
@@ -424,9 +540,6 @@ double KdTree::kth_block_dist_sq(std::span<const double> query, std::size_t k,
     heap = std::span<double>(spill_heap);
   }
   std::size_t heap_size = 0;
-  const auto worst = [&]() noexcept {
-    return heap_size < k ? std::numeric_limits<double>::infinity() : heap[0];
-  };
 
   std::array<int, kMaxTraversalStack> stack;
   std::size_t top = 0;
@@ -439,7 +552,7 @@ double KdTree::kth_block_dist_sq(std::span<const double> query, std::size_t k,
       for (std::size_t i = node.begin; i < node.end; ++i) {
         if (order_[i] == skip_index) continue;
         const double* p = leaf_point(i);
-        const double limit = worst();
+        const bool full = heap_size == k;
         double max_sq = 0.0;
         bool within = true;
         for (const DimBlock& block : blocks) {
@@ -450,13 +563,13 @@ double KdTree::kth_block_dist_sq(std::span<const double> query, std::size_t k,
             sum += diff * diff;
           }
           if (sum > max_sq) max_sq = sum;
-          if (max_sq >= limit) {
+          if (full && max_sq >= heap[0]) {
             within = false;
             break;
           }
         }
         if (!within) continue;
-        if (heap_size == k) {
+        if (full) {
           std::pop_heap(heap.begin(), heap.begin() + static_cast<std::ptrdiff_t>(heap_size));
           --heap_size;
         }
@@ -468,7 +581,7 @@ double KdTree::kth_block_dist_sq(std::span<const double> query, std::size_t k,
     const double delta = query[node.axis] - node.split;
     const int near_child = delta < 0.0 ? node.left : node.right;
     const int far_child = delta < 0.0 ? node.right : node.left;
-    if (delta * delta < worst()) stack[top++] = far_child;
+    if (heap_size < k || delta * delta < heap[0]) stack[top++] = far_child;
     stack[top++] = near_child;
   }
   support::expect(heap_size == k, "KdTree::kth_block_dist_sq: internal error");

@@ -1,10 +1,10 @@
 // Generic-dimension k-d tree over points stored as a flat row-major array.
 //
-// Used by the ICP aligner (per-type 2-D reference points), the
-// Kozachenko–Leonenko entropy estimator, and the marginal neighbor counts of
-// the KSG multi-information estimator (2-D per-particle marginals). The tree
-// stores indices into the caller's point array; the array must outlive the
-// tree.
+// Used by the ICP aligner and the greedy matcher (per-type 2-D reference
+// points), the Kozachenko–Leonenko entropy estimator, and the marginal
+// neighbor counts of the KSG multi-information estimator (2-D per-particle
+// marginals). The tree stores indices into the caller's point array; the
+// array must outlive the tree.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +74,47 @@ class KdTree {
       std::span<const double> query, std::size_t k,
       std::size_t skip_index = static_cast<std::size_t>(-1)) const;
 
+  /// k_nearest(query, out.size(), skip_index) written to the front of
+  /// `out`; returns how many neighbors were written. Same result, element
+  /// for element, and allocation-free for k <= kInlineHeap.
+  std::size_t k_nearest(
+      std::span<const double> query, std::span<Neighbor> out,
+      std::size_t skip_index = static_cast<std::size_t>(-1)) const;
+
+  /// Largest k the span overload of k_nearest serves without allocating.
+  static constexpr std::size_t kInlineHeap = 64;
+
+  /// Which indexed points a nearest_live() query may still return: a live
+  /// count per node and a live flag per leaf slot, O(size()) in all. The
+  /// caller owns it, so one tree serves any number of concurrent live
+  /// queries, each on its own set.
+  struct LiveSet {
+    std::vector<std::uint32_t> nodes;  // live members of each node
+    std::vector<std::uint8_t> slots;   // 1 while the slot's point is live
+  };
+
+  /// Makes every indexed point live in `live`, reusing its storage.
+  void reset_live(LiveSet& live) const;
+
+  /// Removes live point `index` from `live`: one decrement on each node of
+  /// its root-to-leaf path.
+  void remove_live(std::size_t index, LiveSet& live) const;
+
+  /// The live point nearest to `query`, ties to the lowest index: the least
+  /// (squared distance, index) pair over the live points, compared
+  /// lexicographically. Squared distances are summed in dim order from the
+  /// query minus the point, so in 2-D they are geom::dist_sq(query, point)
+  /// bit for bit, and a live set whose every distance overflows to +inf
+  /// still yields its lowest index. Subtrees without a live member are
+  /// never entered; a far child is entered while its split-axis delta² is
+  /// at most the best distance, and a node is left only when its bounding
+  /// box is strictly farther than the best (a point at exactly the best
+  /// distance can still win on index), so the result is the exhaustive
+  /// scan's. Preconditions: `live` was reset by this tree and holds at
+  /// least one point, and the query and the indexed points are finite.
+  [[nodiscard]] Neighbor nearest_live(std::span<const double> query,
+                                      const LiveSet& live) const;
+
   /// Number of indexed points with distance to `query` strictly less than
   /// `radius` (Euclidean). `skip_index` as in k_nearest.
   [[nodiscard]] std::size_t count_within(
@@ -83,8 +124,9 @@ class KdTree {
   /// Squared block-max distance (see DimBlock) of the k-th nearest indexed
   /// point to `query`, ties broken by multiplicity. `blocks` must tile
   /// [0, dim). Equals the k-th order statistic of the exhaustive squared
-  /// distance set — bitwise, not approximately. Preconditions: k >= 1 and at
-  /// least k indexed points after excluding `skip_index`.
+  /// distance set — bitwise, not approximately, +inf included when fewer
+  /// than k distances are finite. Preconditions: k >= 1 and at least k
+  /// indexed points after excluding `skip_index`.
   [[nodiscard]] double kth_block_dist_sq(
       std::span<const double> query, std::size_t k,
       std::span<const DimBlock> blocks,
@@ -168,6 +210,10 @@ class KdTree {
   [[nodiscard]] bool box_within(std::size_t id, const double* query,
                                 std::span<const DimBlock> blocks,
                                 double radius_sq) const noexcept;
+  // A lower bound on the squared distance from `query` to every member of
+  // node `id`, as the leaf scans compute it.
+  [[nodiscard]] double box_min_dist_sq(std::size_t id,
+                                       const double* query) const noexcept;
   [[nodiscard]] double dist_sq_to(std::size_t i,
                                   std::span<const double> query) const noexcept;
   // Slot of the nearest point with squared distance below `best_d2`, which

@@ -49,6 +49,7 @@ double entropy_kl_block(const SampleMatrix& samples, const Block& block,
   support::expect(block.dim > 0, "entropy_kl_block: empty block");
   support::expect(block.offset + block.dim <= samples.dim(),
                   "entropy_kl_block: block out of range");
+  expect_finite(samples, {&block, 1}, "entropy_kl_block: non-finite sample");
 
   // Cached-tree path: resolve the subspace tree serially (single-writer
   // contract) before the parallel query phase below reads it. The k-th of

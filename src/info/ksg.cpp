@@ -73,6 +73,7 @@ double multi_information_ksg(const SampleMatrix& samples,
                   "multi_information_ksg: need at least k+1 samples");
   support::expect(n >= 2, "multi_information_ksg: need at least two blocks");
   validate_blocks(blocks, samples.dim());
+  expect_finite(samples, blocks, "multi_information_ksg: non-finite sample");
 
   // Per-sample Σ_i ψ-terms, filled in parallel, reduced sequentially so the
   // result does not depend on the thread count.

@@ -29,6 +29,18 @@ void validate_blocks(std::span<const Block> blocks, std::size_t dim) {
   support::expect(total == dim, "validate_blocks: blocks do not cover all dims");
 }
 
+void expect_finite(const SampleMatrix& samples, std::span<const Block> blocks,
+                   const char* message) {
+  for (std::size_t s = 0; s < samples.count(); ++s) {
+    const std::span<const double> row = samples.row(s);
+    for (const Block& block : blocks) {
+      for (std::size_t d = block.offset; d < block.offset + block.dim; ++d) {
+        support::expect(std::isfinite(row[d]), message);
+      }
+    }
+  }
+}
+
 double block_dist_sq(const SampleMatrix& samples, std::size_t a, std::size_t b,
                      const Block& block) noexcept {
   const std::span<const double> ra = samples.row(a);

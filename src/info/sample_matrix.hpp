@@ -71,6 +71,14 @@ class SampleMatrix {
 /// coordinates (they need not be ordered). Throws on violation.
 void validate_blocks(std::span<const Block> blocks, std::size_t dim);
 
+/// Throws PreconditionError(`message`) when any sample has a NaN or
+/// infinite coordinate in one of `blocks` (each within samples.dim()). The
+/// estimators' distance tests cannot order such a sample — a block max
+/// drops a NaN block sum — so their tree and brute-force searches would
+/// disagree on it.
+void expect_finite(const SampleMatrix& samples, std::span<const Block> blocks,
+                   const char* message);
+
 /// Squared Euclidean norm of the block coordinates of (row a − row b).
 [[nodiscard]] double block_dist_sq(const SampleMatrix& samples, std::size_t a,
                                    std::size_t b, const Block& block) noexcept;

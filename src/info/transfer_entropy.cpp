@@ -35,7 +35,9 @@ double conditional_mi_impl(const SampleMatrix& samples, const Block& a,
   const std::size_t m = samples.count();
   support::expect(k >= 1, "conditional MI: k must be >= 1");
   support::expect(m >= k + 1, "conditional MI: need at least k+1 samples");
-  validate_blocks(std::vector<Block>{a, b, c}, samples.dim());
+  const std::vector<Block> abc_blocks{a, b, c};
+  validate_blocks(abc_blocks, samples.dim());
+  expect_finite(samples, abc_blocks, "conditional MI: non-finite sample");
 
   // Tree path: resolve the four subspace searchers serially up front (the
   // cache is single-writer; the parallel chunks only read).

@@ -1,13 +1,17 @@
-// Parity of the indexed, warm-started ICP with the aligner it replaced.
+// Parity of the indexed, warm-started ICP and of the counted-tree matcher
+// with the aligner and matcher they replaced.
 //
-// The oracle below is a frozen copy of the per-call aligner: per-type k-d
-// trees built inside every align_icp call and an unbounded tree query for
-// every correspondence of every iteration. The reference index, its
+// The ICP oracle below is a frozen copy of the per-call aligner: per-type
+// k-d trees built inside every align_icp call and an unbounded tree query
+// for every correspondence of every iteration. The reference index, its
 // certified warm-start, the bounded fallback query, the sticky matches kept
 // inside a certified gap and the early stop on repeated correspondences
 // must reproduce it bit for bit — transform, error and iteration count — on
-// random, tie-heavy and real recorded frames, and align_ensemble's
-// (row, restart) fan-out must not depend on the executor width.
+// random, tie-heavy and real recorded frames. Both match_by_type overloads
+// must return the frozen sorted matcher's permutation (match_oracle.hpp) on
+// the same kinds of input, the reference index must not depend on the
+// width of the executor that built it, and align_ensemble's (row, restart)
+// fan-out must not depend on the executor width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +19,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numbers>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "align/ensemble.hpp"
@@ -24,6 +30,7 @@
 #include "core/experiment.hpp"
 #include "core/presets.hpp"
 #include "geom/kdtree.hpp"
+#include "match_oracle.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
 #include "sim/force_law.hpp"
@@ -529,7 +536,185 @@ TEST(IcpParity, Fig4Frames) {
   expect_frame_parity(sops::core::run_experiment(fig4(10)));
 }
 
-// align_ensemble as it was: rows one at a time through the oracle.
+// Both match_by_type overloads against the frozen sorted matcher.
+void expect_match_parity(std::span<const Vec2> source,
+                         std::span<const TypeId> source_types,
+                         std::span<const Vec2> target,
+                         std::span<const TypeId> target_types) {
+  const std::vector<std::size_t> expected = sops::test::sorted_greedy_oracle(
+      source, source_types, target, target_types);
+  EXPECT_EQ(sops::align::match_by_type(source, source_types, target,
+                                       target_types),
+            expected);
+  const IcpTarget index(target, target_types);
+  EXPECT_EQ(sops::align::match_by_type(source, source_types, index), expected);
+}
+
+TEST(MatchParity, LatticeAndDuplicateTies) {
+  for (const int copies : {1, 2, 3}) {
+    for (const std::size_t types : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "copies=" << copies
+                                      << " types=" << types);
+      const Cloud target = lattice(9, types, copies);
+      Cloud reversed = target;
+      std::reverse(reversed.points.begin(), reversed.points.end());
+      std::reverse(reversed.types.begin(), reversed.types.end());
+      expect_match_parity(reversed.points, reversed.types, target.points,
+                          target.types);
+      expect_match_parity(target.points, target.types, target.points,
+                          target.types);
+      // Half-integer offsets: every source is equidistant from 2 or 4
+      // targets, most of them across a tree split.
+      for (const Vec2 offset : {Vec2{0.5, 0.5}, Vec2{0.5, 0.0}, Vec2{0.0, -0.5}}) {
+        Cloud moved = reversed;
+        for (Vec2& p : moved.points) p += offset;
+        expect_match_parity(moved.points, moved.types, target.points,
+                            target.types);
+      }
+      const Cloud posed = posed_copy(target, 0.0, 79);
+      expect_match_parity(posed.points, posed.types, target.points,
+                          target.types);
+    }
+  }
+}
+
+TEST(MatchParity, TypesOfOneToThreeHundredFortyOneMembers) {
+  // One tree leaf (1, 8, 16), two leaves (17) and a paper-row type (341).
+  const std::size_t sizes[] = {1, 8, 16, 17, 341};
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Cloud target = random_cloud(383, 1, 700 + seed);
+    std::size_t cursor = 0;
+    for (std::size_t t = 0; t < 5; ++t) {
+      for (std::size_t k = 0; k < sizes[t]; ++k) {
+        target.types[cursor++] = static_cast<TypeId>(t);
+      }
+    }
+    for (const double jitter : {0.0, 0.2, 1.5}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed
+                                      << " jitter=" << jitter);
+      const Cloud source = posed_copy(target, jitter, 800 + seed);
+      expect_match_parity(source.points, source.types, target.points,
+                          target.types);
+    }
+    Cloud unrelated = random_cloud(383, 1, 900 + seed);
+    unrelated.types = target.types;
+    std::reverse(unrelated.types.begin(), unrelated.types.end());
+    std::reverse(target.types.begin(), target.types.end());
+    expect_match_parity(unrelated.points, unrelated.types, target.points,
+                        target.types);
+  }
+}
+
+TEST(MatchParity, OverflowingDistances) {
+  // Type 0: ordinary coordinates. Type 1 (40 members, several tree levels):
+  // sources at +1e200, targets at -1e200, so every squared distance is
+  // +inf. Type 2: half its sources near their targets, half 1e200 away, so
+  // the remaining distances overflow only after the near pairs commit.
+  Cloud source = random_cloud(30, 1, 41);
+  Cloud target = random_cloud(30, 1, 42);
+  sops::rng::Xoshiro256 engine(43);
+  for (int i = 0; i < 40; ++i) {
+    source.points.push_back({1e200, sops::rng::uniform(engine, -1e190, 1e190)});
+    target.points.push_back({-1e200, sops::rng::uniform(engine, -1e190, 1e190)});
+    source.types.push_back(1);
+    target.types.push_back(1);
+  }
+  for (int i = 0; i < 24; ++i) {
+    const Vec2 p{sops::rng::uniform(engine, -5.0, 5.0),
+                 sops::rng::uniform(engine, -5.0, 5.0)};
+    source.points.push_back(i % 2 == 0 ? p : p + Vec2{2e200, 0.0});
+    target.points.push_back(i % 2 == 0 ? p + Vec2{0.1, 0.0}
+                                       : Vec2{-1e200, p.y});
+    source.types.push_back(2);
+    target.types.push_back(2);
+  }
+  expect_match_parity(source.points, source.types, target.points,
+                      target.types);
+  Cloud reversed = source;
+  std::reverse(reversed.points.begin(), reversed.points.end());
+  std::reverse(reversed.types.begin(), reversed.types.end());
+  expect_match_parity(reversed.points, reversed.types, target.points,
+                      target.types);
+}
+
+// Every row of every recorded frame, centred and ICP-aligned the way
+// align_ensemble prepares it, and also unaligned.
+void expect_frame_match_parity(const sops::core::EnsembleSeries& series) {
+  for (std::size_t f = 0; f < series.frame_count(); ++f) {
+    const sops::geom::FrameView frame = series.frames[f];
+    const std::vector<Vec2> reference = sops::geom::centered(frame[0]);
+    const IcpTarget index(reference, series.types);
+    for (std::size_t s = 1; s < frame.size(); ++s) {
+      SCOPED_TRACE(testing::Message() << "frame " << f << " sample " << s);
+      const std::vector<Vec2> centred = sops::geom::centered(frame[s]);
+      const IcpResult icp =
+          sops::align::align_icp(centred, series.types, index);
+      const std::vector<Vec2> aligned =
+          sops::geom::centered(icp.transform.apply(centred));
+      expect_match_parity(aligned, series.types, reference, series.types);
+      expect_match_parity(centred, series.types, reference, series.types);
+    }
+  }
+}
+
+TEST(MatchParity, PaperRowFrames) {
+  expect_frame_match_parity(sops::core::run_experiment(paper_row(3)));
+}
+
+TEST(MatchParity, Fig4Frames) {
+  expect_frame_match_parity(sops::core::run_experiment(fig4(10)));
+}
+
+// The reference index built on executors of width 1 to 4 (and inline)
+// answers every query identically: match, match_from with its certificate,
+// and the sticky radius, bit for bit.
+TEST(IcpParity, TargetIdenticalAcrossExecutorWidths) {
+  Cloud seventeen = random_cloud(50, 1, 81);
+  for (std::size_t i = 0; i < 50; ++i) {
+    seventeen.types[i] = static_cast<TypeId>(i < 17 ? 0 : i < 34 ? 1 : 2);
+  }
+  const Cloud random = random_cloud(1024, 3, 82);
+  const Cloud grid = lattice(20, 3, 2);
+  for (const Cloud* cloud : {&std::as_const(seventeen), &random, &grid}) {
+    SCOPED_TRACE(testing::Message() << "n=" << cloud->points.size());
+    const IcpTarget inline_index(cloud->points, cloud->types);
+    std::vector<std::unique_ptr<sops::support::TaskPool>> pools;
+    std::vector<std::unique_ptr<IcpTarget>> indexes;
+    for (std::size_t width = 1; width <= 4; ++width) {
+      pools.push_back(std::make_unique<sops::support::TaskPool>(width));
+      indexes.push_back(std::make_unique<IcpTarget>(
+          cloud->points, cloud->types, &pools.back()->executor()));
+    }
+    const auto same_match = [](const sops::align::IcpMatch& a,
+                               const sops::align::IcpMatch& b) {
+      return a.index == b.index && same_bits(a.distance, b.distance) &&
+             same_bits(a.gap, b.gap) &&
+             same_bits(IcpTarget::sticky_radius(a),
+                       IcpTarget::sticky_radius(b));
+    };
+    sops::rng::Xoshiro256 engine(83);
+    for (std::uint32_t previous = 0; previous < cloud->points.size();
+         ++previous) {
+      const TypeId type = cloud->types[previous];
+      const Vec2 base = cloud->points[previous];
+      const Vec2 queries[] = {base, base + Vec2{0.5, 0.5},
+                              base + sops::rng::normal_vec2(engine, 0.3),
+                              base + sops::rng::normal_vec2(engine, 3.0)};
+      for (const Vec2 q : queries) {
+        const sops::align::IcpMatch from = inline_index.match_from(q, previous);
+        const sops::align::IcpMatch guess = inline_index.match(q, type);
+        for (const auto& index : indexes) {
+          EXPECT_TRUE(same_match(index->match_from(q, previous), from))
+              << "previous=" << previous;
+          EXPECT_TRUE(same_match(index->match(q, type), guess))
+              << "previous=" << previous;
+        }
+      }
+    }
+  }
+}
+
+// align_ensemble as it was: rows one at a time through the oracles.
 std::vector<double> oracle_ensemble(sops::geom::FrameView frame,
                                     const std::vector<TypeId>& types) {
   const std::size_t n = types.size();
@@ -541,7 +726,7 @@ std::vector<double> oracle_ensemble(sops::geom::FrameView frame,
     const IcpResult icp = oracle::align_icp(moved, types, reference, types);
     moved = sops::geom::centered(icp.transform.apply(moved));
     const std::vector<std::size_t> match =
-        sops::align::match_by_type(moved, types, reference, types);
+        sops::test::sorted_greedy_oracle(moved, types, reference, types);
     std::vector<Vec2> permuted(n);
     for (std::size_t i = 0; i < n; ++i) permuted[match[i]] = moved[i];
     for (const Vec2 p : permuted) out.insert(out.end(), {p.x, p.y});

@@ -9,6 +9,7 @@
 #include <span>
 
 #include "align/icp.hpp"
+#include "match_oracle.hpp"
 #include "rng/samplers.hpp"
 #include "support/error.hpp"
 
@@ -21,6 +22,7 @@ using sops::align::match_by_type;
 using sops::geom::RigidTransform2;
 using sops::geom::Vec2;
 using sops::sim::TypeId;
+using sops::test::sorted_greedy_oracle;
 
 constexpr double kPi = std::numbers::pi;
 
@@ -227,42 +229,6 @@ TEST(MatchByType, RecoversAppliedPermutation) {
 
   const auto match = match_by_type(a.points, a.types, b_points, a.types);
   for (std::size_t i = 0; i < perm.size(); ++i) EXPECT_EQ(match[i], perm[i]);
-}
-
-// The original greedy matcher, kept as the test oracle: materialize every
-// same-type pair, sort by (distance², source, target), commit greedily.
-// The production lazy-heap matcher must reproduce it exactly — ties and
-// all — on any input.
-std::vector<std::size_t> sorted_greedy_oracle(
-    std::span<const Vec2> source, std::span<const TypeId> source_types,
-    std::span<const Vec2> target, std::span<const TypeId> target_types) {
-  struct Pair {
-    double dist_sq;
-    std::size_t s;
-    std::size_t t;
-  };
-  std::vector<Pair> pairs;
-  for (std::size_t s = 0; s < source.size(); ++s) {
-    for (std::size_t t = 0; t < target.size(); ++t) {
-      if (source_types[s] != target_types[t]) continue;
-      pairs.push_back({sops::geom::dist_sq(source[s], target[t]), s, t});
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
-    if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
-    if (a.s != b.s) return a.s < b.s;
-    return a.t < b.t;
-  });
-  std::vector<std::size_t> match(source.size(), source.size());
-  std::vector<char> source_used(source.size(), 0);
-  std::vector<char> target_used(target.size(), 0);
-  for (const Pair& pair : pairs) {
-    if (source_used[pair.s] || target_used[pair.t]) continue;
-    match[pair.s] = pair.t;
-    source_used[pair.s] = 1;
-    target_used[pair.t] = 1;
-  }
-  return match;
 }
 
 TEST(MatchByType, MatchesSortedGreedyOracleOnFuzzedClouds) {

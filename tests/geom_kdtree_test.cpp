@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/kdtree.hpp"
@@ -471,6 +473,220 @@ TEST(KdTreeSubtreeCount, NanCoordinateInsideOneLeaf) {
   data[2 * 123 + 1] = std::numeric_limits<double>::quiet_NaN();
   expect_counts_match_oracle(data, 2, {{0, 1}, {1, 1}},
                              {5.0, 50.0, 500.0, 3000.0});
+}
+
+// The span overload of k_nearest is the vector overload element for
+// element — index and bits, ties included — on the inline heap and past it.
+TEST(KdTree, KNearestIntoSpanEqualsVectorOverload) {
+  auto data = random_points(300, 2, 61);
+  for (std::size_t i = 0; i < 40; ++i) {  // 40 duplicated points: exact ties
+    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(2 * i), 2,
+                data.begin() + static_cast<std::ptrdiff_t>(2 * (299 - i)));
+  }
+  const KdTree tree(data, 2);
+  std::vector<Neighbor> out;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{16},
+                              KdTree::kInlineHeap, KdTree::kInlineHeap + 9,
+                              std::size_t{400}}) {
+    for (std::size_t q = 0; q < 60; q += 7) {
+      const std::span<const double> query{data.data() + 2 * q, 2};
+      for (const std::size_t skip : {q, static_cast<std::size_t>(-1)}) {
+        const std::vector<Neighbor> expected = tree.k_nearest(query, k, skip);
+        out.assign(k, Neighbor{});
+        ASSERT_EQ(tree.k_nearest(query, out, skip), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(out[i].index, expected[i].index) << "k=" << k << " i=" << i;
+          EXPECT_EQ(out[i].dist_sq, expected[i].dist_sq);
+        }
+      }
+    }
+  }
+}
+
+// Fewer than k other points at a finite distance: every other squared
+// distance overflows to +inf, so the k-th is +inf — no internal error, and
+// the brute-force scan's bits. On the 41-point line k = 20 spans several
+// leaves, so a subtree whose split-axis delta² overflows must still be
+// entered while the heap is short.
+TEST(KdTree, KthBlockDistSqWithOverflowingDistances) {
+  const std::vector<double> six{0.0,    0.0, 1e200, 0.0, -1e200, 0.0,
+                                2e200,  0.0, -2e200, 0.0, 3e200, 0.0};
+  std::vector<double> line;
+  for (int i = -20; i <= 20; ++i) {
+    line.push_back(1e200 * i);
+    line.push_back(i % 2 == 0 ? 0.0 : 1.0);
+  }
+  const std::vector<std::vector<sops::geom::DimBlock>> layouts{{{0, 2}},
+                                                               {{0, 1}, {1, 1}}};
+  for (const std::vector<double>* data : {&six, &std::as_const(line)}) {
+    const KdTree tree(*data, 2);
+    const BruteForceSearcher oracle(*data, 2);
+    for (const auto& blocks : layouts) {
+      for (std::size_t s = 0; s < tree.size(); ++s) {
+        const std::span<const double> query{data->data() + 2 * s, 2};
+        for (const std::size_t k : {1u, 3u, 20u}) {
+          if (k >= tree.size()) continue;
+          const double expected = oracle.kth_block_dist_sq(query, k, blocks, s);
+          EXPECT_EQ(expected, std::numeric_limits<double>::infinity());
+          EXPECT_EQ(tree.kth_block_dist_sq(query, k, blocks, s), expected)
+              << "n=" << tree.size() << " s=" << s << " k=" << k;
+        }
+      }
+    }
+  }
+  // Finite neighbors first, then +inf: pairs 1e-3 apart, 1e200 between.
+  std::vector<double> pairs;
+  for (int i = 0; i < 30; ++i) {
+    pairs.push_back(1e200 * (i / 2) + 1e-3 * (i % 2));
+    pairs.push_back(0.0);
+  }
+  const KdTree tree(pairs, 2);
+  const BruteForceSearcher oracle(pairs, 2);
+  for (std::size_t s = 0; s < tree.size(); ++s) {
+    const std::span<const double> query{pairs.data() + 2 * s, 2};
+    for (const std::size_t k : {1u, 2u, 3u}) {
+      const double expected =
+          oracle.kth_block_dist_sq(query, k, layouts[0], s);
+      EXPECT_EQ(std::isinf(expected), k > 1);
+      EXPECT_EQ(tree.kth_block_dist_sq(query, k, layouts[0], s), expected);
+    }
+  }
+}
+
+// The least (d², index) over the live points by exhaustive scan, d² summed
+// in dim order from query minus point, as nearest_live computes it.
+Neighbor live_scan(std::span<const double> data, std::size_t dim,
+                   const std::vector<char>& live, std::span<const double> q) {
+  Neighbor best{live.size(), std::numeric_limits<double>::infinity()};
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (!live[i]) continue;
+    double d2 = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const double diff = q[d] - data[i * dim + d];
+      d2 += diff * diff;
+    }
+    if (d2 < best.dist_sq || (d2 == best.dist_sq && i < best.index)) {
+      best = {i, d2};
+    }
+  }
+  return best;
+}
+
+// Removes points in a seeded random order, querying after every removal;
+// each answer must be the exhaustive scan's, index and bits, and the
+// largest node count (the root's) must be the number of live points.
+void expect_live_queries_match_scan(std::span<const double> data,
+                                    std::size_t dim,
+                                    std::span<const double> queries,
+                                    std::uint64_t seed) {
+  const KdTree tree(data, dim);
+  const std::size_t count = tree.size();
+  KdTree::LiveSet live_set;
+  tree.reset_live(live_set);
+  std::vector<char> live(count, 1);
+  std::vector<std::size_t> order(count);
+  for (std::size_t i = 0; i < count; ++i) order[i] = i;
+  sops::rng::Xoshiro256 engine(seed);
+  for (std::size_t i = count; i > 1; --i) {
+    std::swap(order[i - 1], order[sops::rng::uniform_index(engine, i)]);
+  }
+  const std::size_t query_count = queries.size() / dim;
+  for (std::size_t removed = 0; removed < count; ++removed) {
+    for (std::size_t q = removed % 3; q < query_count; q += 3) {
+      const std::span<const double> query{queries.data() + q * dim, dim};
+      const Neighbor expected = live_scan(data, dim, live, query);
+      const Neighbor found = tree.nearest_live(query, live_set);
+      ASSERT_EQ(found.index, expected.index)
+          << "removed=" << removed << " q=" << q;
+      ASSERT_EQ(found.dist_sq, expected.dist_sq);
+    }
+    tree.remove_live(order[removed], live_set);
+    live[order[removed]] = 0;
+    ASSERT_EQ(*std::max_element(live_set.nodes.begin(), live_set.nodes.end()),
+              count - removed - 1);
+  }
+}
+
+TEST_P(KdTreeVsBruteForce, NearestLiveMatchesExhaustiveScan) {
+  const auto [count, dim] = GetParam();
+  auto data = random_points(count, dim, 67);
+  for (std::size_t i = 0; i + 1 < count && i < 6; ++i) {
+    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(i * dim), dim,
+                data.begin() + static_cast<std::ptrdiff_t>((count - 1 - i) * dim));
+  }
+  std::vector<double> queries = random_points(12, dim, 68);
+  queries.insert(queries.end(), data.begin(),
+                 data.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min<std::size_t>(count, 6) * dim));
+  expect_live_queries_match_scan(data, dim, queries, 69);
+}
+
+// A lattice, every point twice: half-integer queries are equidistant from
+// 2 or 4 points (each duplicated), many of them across a split plane at
+// exactly the best distance, so only the inclusive far-child test and the
+// index tie-break reproduce the scan.
+TEST(KdTree, NearestLiveOnLatticeTies) {
+  std::vector<double> data;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int y = 0; y < 9; ++y) {
+      for (int x = 0; x < 9; ++x) {
+        data.push_back(x);
+        data.push_back(y);
+      }
+    }
+  }
+  std::vector<double> queries;
+  for (int y = 0; y < 18; ++y) {
+    for (int x = 0; x < 18; ++x) {
+      queries.push_back(0.5 * x - 0.5);
+      queries.push_back(0.5 * y - 0.5);
+    }
+  }
+  for (const std::uint64_t seed : {71u, 72u}) {
+    expect_live_queries_match_scan(data, 2, queries, seed);
+  }
+}
+
+// Every distance overflows to +inf: the lowest live index wins.
+TEST(KdTree, NearestLiveWithOverflowingDistances) {
+  std::vector<double> data;
+  for (int i = 0; i < 40; ++i) {
+    data.push_back(-1e200 - 1e185 * i);
+    data.push_back(1e185 * (i % 7));
+  }
+  const std::vector<double> queries{1e200, 0.0, 2e200, 1e200};
+  expect_live_queries_match_scan(data, 2, queries, 73);
+  const KdTree tree(data, 2);
+  KdTree::LiveSet live;
+  tree.reset_live(live);
+  tree.remove_live(0, live);
+  const Neighbor found = tree.nearest_live({queries.data(), 2}, live);
+  EXPECT_EQ(found.index, 1u);
+  EXPECT_EQ(found.dist_sq, std::numeric_limits<double>::infinity());
+}
+
+TEST(KdTree, NearestLivePreconditions) {
+  const auto data = random_points(20, 2, 75);
+  const KdTree tree(data, 2);
+  const KdTree other(std::span<const double>(data).first(10), 2);
+  KdTree::LiveSet live;
+  const double query[2] = {0.0, 0.0};
+  other.reset_live(live);
+  EXPECT_THROW((void)tree.nearest_live({query, 2}, live),
+               sops::PreconditionError);
+  tree.reset_live(live);
+  for (std::size_t i = 0; i < 20; ++i) tree.remove_live(i, live);
+  EXPECT_THROW(tree.remove_live(3, live), sops::PreconditionError);
+  try {
+    (void)tree.nearest_live({query, 2}, live);
+    ADD_FAILURE() << "no error for an empty live set";
+  } catch (const sops::PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("no live point"),
+              std::string::npos)
+        << error.what();
+  }
+  tree.reset_live(live);  // reuse after exhaustion
+  EXPECT_EQ(tree.nearest_live({data.data() + 8, 2}, live).index, 4u);
 }
 
 TEST(KdTree, WrongQueryDimensionThrows) {

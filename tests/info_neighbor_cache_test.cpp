@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "info/decomposition.hpp"
@@ -15,6 +18,7 @@
 #include "info/transfer_entropy.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
+#include "support/error.hpp"
 #include "support/executor.hpp"
 
 namespace {
@@ -157,6 +161,72 @@ TEST(NeighborCache, ContiguousPrefixIsZeroCopy) {
   const Block tail{2, 2};
   const auto& marginal = cache.tree_for({&tail, 1});
   EXPECT_FALSE(marginal.storage.empty());
+}
+
+// A NaN or infinite coordinate is a named precondition error on both
+// searches, raised before either path orders a sample: a block max drops
+// a NaN block sum, which the tree and the scan would treat differently.
+void expect_non_finite_error(const std::function<void()>& estimate) {
+  try {
+    estimate();
+    ADD_FAILURE() << "no error for a non-finite sample";
+  } catch (const sops::PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("non-finite"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(NeighborCache, NonFiniteSamplesThrowOnBothSearches) {
+  const Block a{0, 2};
+  const Block b{2, 2};
+  const Block c{4, 2};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(testing::Message() << "value " << bad);
+    SampleMatrix samples = fuzzed_matrix(60, 6, 31);
+    samples(17, 3) = bad;
+    Xoshiro256 engine(37);
+    std::vector<double> source(80);
+    std::vector<double> target(80);
+    for (std::size_t t = 0; t < 80; ++t) {
+      source[t] = sops::rng::standard_normal(engine);
+      target[t] = sops::rng::standard_normal(engine);
+    }
+    target[41] = bad;
+    for (const NeighborSearch search :
+         {NeighborSearch::kBruteForce, NeighborSearch::kBlockedTree}) {
+      KsgOptions ksg;
+      ksg.search = search;
+      expect_non_finite_error(
+          [&] { (void)multi_information_ksg(samples, 2, ksg); });
+      TransferEntropyOptions te;
+      te.search = search;
+      expect_non_finite_error(
+          [&] { (void)conditional_mutual_information_ksg(samples, a, b, c, te); });
+      expect_non_finite_error(
+          [&] { (void)sops::info::transfer_entropy(source, target, 1, te); });
+      expect_non_finite_error(
+          [&] { (void)sops::info::transfer_entropy(target, source, 1, te); });
+    }
+    // The KL estimator's tree path is the cached one.
+    FrameNeighborCache cache(samples);
+    KsgOptions cached;
+    cached.cache = &cache;
+    expect_non_finite_error(
+        [&] { (void)multi_information_ksg(samples, 2, cached); });
+    expect_non_finite_error([&] { (void)entropy_kl(samples, 4, nullptr); });
+    expect_non_finite_error(
+        [&] { (void)entropy_kl(samples, 4, nullptr, &cache); });
+    expect_non_finite_error(
+        [&] { (void)entropy_kl_block(samples, b, 4, nullptr); });
+    expect_non_finite_error(
+        [&] { (void)entropy_kl_block(samples, b, 4, nullptr, &cache); });
+    // A block that does not hold the coordinate still estimates, with the
+    // same bits on both paths.
+    EXPECT_EQ(entropy_kl_block(samples, a, 4, nullptr, &cache),
+              entropy_kl_block(samples, a, 4, nullptr));
+  }
 }
 
 }  // namespace
