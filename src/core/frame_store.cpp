@@ -109,7 +109,10 @@ FrameStore::FrameStore(std::size_t frames, std::size_t samples,
 
 FrameStore::FrameStore(std::size_t frames, std::size_t samples,
                        std::size_t particles, const FrameStoreOptions& options)
-    : frames_(frames), samples_(samples), particles_(particles) {
+    : frames_(frames),
+      samples_(samples),
+      particles_(particles),
+      backing_(std::make_shared<Backing>()) {
   support::expect(frames >= 1 && samples >= 1 && particles >= 1,
                   "FrameStore: all dimensions must be positive");
   const std::size_t payload = bytes();
@@ -133,8 +136,7 @@ FrameStore::FrameStore(std::size_t frames, std::size_t samples,
                   "': " + buffer.fallback_reason());
     }
     data_ = static_cast<geom::Vec2*>(buffer.data());
-    buffer_ = std::move(buffer);
-    io_error_ = std::make_unique<IoErrorState>();
+    backing_->buffer = std::move(buffer);
     return;
   }
 
@@ -158,14 +160,13 @@ FrameStore::FrameStore(std::size_t frames, std::size_t samples,
       // explicit construction pass would fault the whole payload in
       // upfront, defeating the spill).
       data_ = static_cast<geom::Vec2*>(buffer.data());
-      buffer_ = std::move(buffer);
-      io_error_ = std::make_unique<IoErrorState>();
+      backing_->buffer = std::move(buffer);
       return;
     }
     fallback_reason_ = buffer.fallback_reason();
   }
-  heap_.resize(frames * samples * particles);
-  data_ = heap_.data();
+  backing_->heap.resize(frames * samples * particles);
+  data_ = backing_->heap.data();
 }
 
 geom::FrameView FrameStore::front() const {
@@ -178,10 +179,15 @@ geom::FrameView FrameStore::back() const {
   return (*this)[frames_ - 1];
 }
 
+const std::string& FrameStore::spill_path() const noexcept {
+  static const std::string none;
+  return mapped() ? backing_->buffer.path() : none;
+}
+
 std::string FrameStore::flush_error() const {
-  if (io_error_ == nullptr) return {};
-  const std::lock_guard<std::mutex> lock(io_error_->mutex);
-  return io_error_->message;
+  if (!mapped()) return {};
+  const std::lock_guard<std::mutex> lock(backing_->io_error_mutex);
+  return backing_->io_error;
 }
 
 void FrameStore::note_io_error(const char* operation) {
@@ -190,8 +196,8 @@ void FrameStore::note_io_error(const char* operation) {
   // not the cascade).
   const std::string message =
       std::string(operation) + ": " + std::strerror(errno);
-  const std::lock_guard<std::mutex> lock(io_error_->mutex);
-  if (io_error_->message.empty()) io_error_->message = message;
+  const std::lock_guard<std::mutex> lock(backing_->io_error_mutex);
+  if (backing_->io_error.empty()) backing_->io_error = message;
 }
 
 // Shared frame-axis sharding of flush_samples/sync_samples: runs
@@ -214,13 +220,14 @@ void FrameStore::flush_samples(std::size_t begin, std::size_t end,
                                support::Executor* executor) {
   support::expect(begin <= end && end <= samples_,
                   "FrameStore::flush_samples: sample range out of bounds");
-  if (!buffer_.mapped() || begin == end) return;
+  if (!mapped() || begin == end) return;
+  io::MappedBuffer& buffer = backing_->buffer;
   const std::size_t extent = (end - begin) * particles_ * sizeof(geom::Vec2);
   for_each_frame_extent(executor, [&](std::size_t f) {
     const std::size_t offset =
         (f * samples_ + begin) * particles_ * sizeof(geom::Vec2);
-    if (!buffer_.flush(offset, extent)) note_io_error("msync");
-    if (!buffer_.release(offset, extent)) note_io_error("madvise");
+    if (!buffer.flush(offset, extent)) note_io_error("msync");
+    if (!buffer.release(offset, extent)) note_io_error("madvise");
   });
 }
 
@@ -228,18 +235,19 @@ bool FrameStore::sync_samples(std::size_t begin, std::size_t end,
                               support::Executor* executor) {
   support::expect(begin <= end && end <= samples_,
                   "FrameStore::sync_samples: sample range out of bounds");
-  if (!buffer_.mapped() || begin == end) return true;
+  if (!mapped() || begin == end) return true;
+  io::MappedBuffer& buffer = backing_->buffer;
   const std::size_t extent = (end - begin) * particles_ * sizeof(geom::Vec2);
   std::atomic<bool> ok{true};
   for_each_frame_extent(executor, [&](std::size_t f) {
     const std::size_t offset =
         (f * samples_ + begin) * particles_ * sizeof(geom::Vec2);
-    if (!buffer_.sync(offset, extent)) {
+    if (!buffer.sync(offset, extent)) {
       note_io_error("msync (MS_SYNC)");
       ok.store(false, std::memory_order_relaxed);
       return;  // don't drop pages whose disk copy is unconfirmed
     }
-    if (!buffer_.release(offset, extent)) note_io_error("madvise");
+    if (!buffer.release(offset, extent)) note_io_error("madvise");
   });
   return ok.load(std::memory_order_relaxed);
 }

@@ -90,6 +90,19 @@ class FrameStore {
   FrameStore(std::size_t frames, std::size_t samples, std::size_t particles,
              const FrameStoreOptions& options);
 
+  FrameStore(FrameStore&&) noexcept = default;
+  FrameStore& operator=(FrameStore&&) noexcept = default;
+  FrameStore& operator=(const FrameStore&) = delete;
+
+  /// A second handle on this store's position block — same shape, same
+  /// bytes, no copy — that keeps the block (and a spill file behind it)
+  /// alive after this store is moved or destroyed. Readers use it to keep
+  /// finished samples readable past the recording's own lifetime (sopsd
+  /// encodes each streamed sample from one); the recording's producers
+  /// keep writing their slots through the original. A spill file is
+  /// unlinked when its last handle goes.
+  [[nodiscard]] FrameStore share() const { return FrameStore(*this); }
+
   [[nodiscard]] std::size_t frame_count() const noexcept { return frames_; }
   [[nodiscard]] std::size_t sample_count() const noexcept { return samples_; }
   [[nodiscard]] std::size_t particle_count() const noexcept {
@@ -131,12 +144,10 @@ class FrameStore {
   /// The backing actually in use: kHeap or kMapped, never kAuto (and kHeap
   /// when a requested mapping fell back).
   [[nodiscard]] StorageMode storage() const noexcept {
-    return buffer_.mapped() ? StorageMode::kMapped : StorageMode::kHeap;
+    return mapped() ? StorageMode::kMapped : StorageMode::kHeap;
   }
   /// Path of the spill file; empty when heap-backed.
-  [[nodiscard]] const std::string& spill_path() const noexcept {
-    return buffer_.path();
-  }
+  [[nodiscard]] const std::string& spill_path() const noexcept;
   /// Why a requested mapping fell back to heap; empty otherwise.
   [[nodiscard]] const std::string& spill_fallback_reason() const noexcept {
     return fallback_reason_;
@@ -172,16 +183,26 @@ class FrameStore {
   /// Hints the kernel that the store will now be read front to back — the
   /// analyzer's frame-by-frame pass over a finished recording. No-op on
   /// heap backing.
-  void advise_sequential_reads() noexcept { buffer_.advise_sequential(); }
+  void advise_sequential_reads() noexcept {
+    if (mapped()) backing_->buffer.advise_sequential();
+  }
 
  private:
-  // First-failure slot shared by concurrent flushes; behind a unique_ptr so
-  // the store stays movable (EnsembleSeries carries it by value).
-  struct IoErrorState {
-    std::mutex mutex;
-    std::string message;
+  // The block data_ points into, with the first-failure slot its
+  // concurrent flushes share. Held by every handle share() hands out, so
+  // the block lives as long as its last reader.
+  struct Backing {
+    std::vector<geom::Vec2> heap;
+    io::MappedBuffer buffer;  // engaged only when actually mapped
+    std::mutex io_error_mutex;
+    std::string io_error;  // guarded by io_error_mutex
   };
 
+  FrameStore(const FrameStore&) = default;  // share()'s handle copy
+
+  [[nodiscard]] bool mapped() const noexcept {
+    return backing_ != nullptr && backing_->buffer.mapped();
+  }
   template <typename FlushFrame>
   void for_each_frame_extent(support::Executor* executor, FlushFrame&& flush);
   void note_io_error(const char* operation);
@@ -189,11 +210,9 @@ class FrameStore {
   std::size_t frames_ = 0;
   std::size_t samples_ = 0;
   std::size_t particles_ = 0;
-  geom::Vec2* data_ = nullptr;  // into heap_ or buffer_; stable under move
-  std::vector<geom::Vec2> heap_;
-  io::MappedBuffer buffer_;  // engaged only when actually mapped
+  geom::Vec2* data_ = nullptr;  // into *backing_; stable under move
+  std::shared_ptr<Backing> backing_;
   std::string fallback_reason_;
-  std::unique_ptr<IoErrorState> io_error_;  // engaged only when mapped
 };
 
 }  // namespace sops::core

@@ -1,6 +1,7 @@
 #include "core/job_manager.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <span>
@@ -81,6 +82,16 @@ void append_json_string(std::string& out, const std::string& value) {
     }
   }
   out += '"';
+}
+
+/// Writes `value` (std::to_chars, `format` forwarded) and then `separator`
+/// at `it`, inside a buffer ending at `end`; returns the next free byte.
+template <typename T, typename... Format>
+char* put_field(char* it, char* end, char separator, T value,
+                Format... format) {
+  char* const value_end = std::to_chars(it, end - 1, value, format...).ptr;
+  *value_end = separator;
+  return value_end + 1;
 }
 
 }  // namespace
@@ -488,20 +499,36 @@ const JobManager::Job* JobManager::find_locked(std::uint64_t id) const noexcept 
 
 std::string sample_recording_csv(const EnsembleSeries& series,
                                  std::size_t local_sample) {
+  std::string out;
+  append_sample_recording_csv(out, series, local_sample);
+  return out;
+}
+
+void append_sample_recording_csv(std::string& out, const EnsembleSeries& series,
+                                 std::size_t local_sample) {
   support::expect(local_sample < series.sample_count(),
                   "sample_recording_csv: sample out of range");
-  std::string out = "frame,step,particle,x,y\n";
-  char row[128];
+  out += "frame,step,particle,x,y\n";
+  // std::to_chars with chars_format::general and precision 17 is printf's
+  // "%.17g" (the standard defines it so), inf and nan spellings included —
+  // the bytes every earlier recording was written with — at a fraction of
+  // snprintf's cost.
+  char row[128];  // three 20-digit indices, two 24-char doubles, separators
+  char* const end = row + sizeof row;
   for (std::size_t f = 0; f < series.frame_count(); ++f) {
     const std::span<const geom::Vec2> positions =
         series.frames.sample(f, local_sample);
+    char* const prefix_end =
+        put_field(put_field(row, end, ',', f), end, ',', series.frame_steps[f]);
     for (std::size_t p = 0; p < positions.size(); ++p) {
-      std::snprintf(row, sizeof row, "%zu,%zu,%zu,%.17g,%.17g\n", f,
-                    series.frame_steps[f], p, positions[p].x, positions[p].y);
-      out += row;
+      char* it = put_field(prefix_end, end, ',', p);
+      it = put_field(it, end, ',', positions[p].x, std::chars_format::general,
+                     17);
+      it = put_field(it, end, '\n', positions[p].y,
+                     std::chars_format::general, 17);
+      out.append(row, it);
     }
   }
-  return out;
 }
 
 io::CsvTable analysis_csv_table(const AnalysisResult& result,

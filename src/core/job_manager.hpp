@@ -88,9 +88,8 @@ struct JobLimits {
   /// running jobs.
   std::size_t job_slots = 2;
   /// Admission budget for *resident* recording footprints (heap-backed
-  /// jobs; mapped/shard recordings project to ~zero). Default: unlimited —
-  /// the in-process batch configuration. The daemon sets a real budget
-  /// (its default mirrors the 256 MiB auto-spill threshold).
+  /// jobs; mapped/shard recordings project to ~zero). Default: unlimited.
+  /// `sopsd` keeps it unlimited too unless started with `--mem-mb N`.
   std::size_t memory_budget_bytes = static_cast<std::size_t>(-1);
 };
 
@@ -118,6 +117,9 @@ struct JobStatus {
 /// One finished sample, announced from the sample workers (thread-safe
 /// handlers required). `series` points at the live recording: the sample's
 /// slots are final (flushed/synced), valid for the duration of the call.
+/// A handler that reads the sample later — after the job ended, failed or
+/// was cancelled — keeps `series->frames.share()` (and a copy of
+/// `frame_steps`): the shared block outlives the job's own series.
 struct JobSampleEvent {
   std::uint64_t job = 0;
   std::size_t local_sample = 0;
@@ -235,12 +237,17 @@ class JobManager {
 };
 
 /// CSV text of one recorded sample — header plus one row per
-/// (frame, particle), max-precision positions. The daemon streams exactly
+/// (frame, particle), positions as printf's "%.17g" spells them (round-trip
+/// exact). Reads only `frame_steps` and `frames`. The daemon streams exactly
 /// this per finished sample, and the parity tests serialize a batch run's
 /// series through the same function, so "streamed recording == batch
 /// recording" is a byte comparison.
 [[nodiscard]] std::string sample_recording_csv(const EnsembleSeries& series,
                                                std::size_t local_sample);
+/// The same bytes appended to `out`, for a caller that encodes many
+/// samples through one reused buffer.
+void append_sample_recording_csv(std::string& out, const EnsembleSeries& series,
+                                 std::size_t local_sample);
 
 /// The analysis-curve table `sops_run` writes as its CSV output — shared
 /// with the daemon's curve streaming so both serialize identical bytes.

@@ -66,31 +66,34 @@ MappedBuffer::MappedBuffer(const std::string& path, std::size_t bytes,
   // other one would corrupt a live recording. Callers pick unique names.
   // Persist shards rely on the same guarantee: an existing shard file must
   // be opened via open_existing (resume), never clobbered by a fresh run.
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
-  if (fd_ < 0) {
+  // The descriptor is closed as soon as the mapping exists (the mapping
+  // keeps the file open), so a long-lived buffer holds no descriptor.
+  const int fd =
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
+  if (fd < 0) {
     fallback_reason_ = errno_message("open");
-  } else if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0) {
+  } else if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
     fallback_reason_ = errno_message("ftruncate");
-  } else if (const int alloc_errno = reserve_blocks(fd_, bytes);
+  } else if (const int alloc_errno = reserve_blocks(fd, bytes);
              alloc_errno != 0) {
     errno = alloc_errno;
     fallback_reason_ = errno_message("posix_fallocate");
   } else {
     void* mapping = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
-                           fd_, 0);
+                           fd, 0);
     if (mapping == MAP_FAILED) {
       fallback_reason_ = errno_message("mmap");
     } else {
+      ::close(fd);
       data_ = static_cast<std::byte*>(mapping);
       mapped_ = true;
       path_ = path;
       return;
     }
   }
-  if (fd_ >= 0) {
-    ::close(fd_);
+  if (fd >= 0) {
+    ::close(fd);
     ::unlink(path.c_str());
-    fd_ = -1;
   }
 #else
   fallback_reason_ = "mmap unavailable on this platform";
@@ -113,12 +116,12 @@ MappedBuffer MappedBuffer::open_existing(const std::string& path,
   buffer.size_ = bytes;
   buffer.lifetime_ = Lifetime::kPersist;
 #if SOPS_HAVE_MMAP
-  buffer.fd_ = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-  if (buffer.fd_ < 0) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) {
     buffer.fallback_reason_ = errno_message("open");
   } else {
     struct ::stat info {};
-    if (::fstat(buffer.fd_, &info) != 0) {
+    if (::fstat(fd, &info) != 0) {
       buffer.fallback_reason_ = errno_message("fstat");
     } else if (info.st_size < 0 ||
                static_cast<std::size_t>(info.st_size) != bytes) {
@@ -129,10 +132,11 @@ MappedBuffer MappedBuffer::open_existing(const std::string& path,
           " bytes, expected " + std::to_string(bytes);
     } else {
       void* mapping = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                             MAP_SHARED, buffer.fd_, 0);
+                             MAP_SHARED, fd, 0);
       if (mapping == MAP_FAILED) {
         buffer.fallback_reason_ = errno_message("mmap");
       } else {
+        ::close(fd);
         buffer.data_ = static_cast<std::byte*>(mapping);
         buffer.mapped_ = true;
         buffer.path_ = path;
@@ -140,8 +144,7 @@ MappedBuffer MappedBuffer::open_existing(const std::string& path,
       }
     }
     // Failure never unlinks here: the file is someone's durable data.
-    ::close(buffer.fd_);
-    buffer.fd_ = -1;
+    ::close(fd);
   }
 #else
   buffer.fallback_reason_ = "mmap unavailable on this platform";
@@ -161,7 +164,6 @@ MappedBuffer::~MappedBuffer() { reset(); }
 MappedBuffer::MappedBuffer(MappedBuffer&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      fd_(std::exchange(other.fd_, -1)),
       mapped_(std::exchange(other.mapped_, false)),
       lifetime_(std::exchange(other.lifetime_, Lifetime::kScratch)),
       path_(std::move(other.path_)),
@@ -176,7 +178,6 @@ MappedBuffer& MappedBuffer::operator=(MappedBuffer&& other) noexcept {
     reset();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    fd_ = std::exchange(other.fd_, -1);
     mapped_ = std::exchange(other.mapped_, false);
     lifetime_ = std::exchange(other.lifetime_, Lifetime::kScratch);
     path_ = std::move(other.path_);
@@ -200,12 +201,10 @@ void MappedBuffer::reset() noexcept {
     if (persist) ::msync(data_, size_, MS_SYNC);
     ::munmap(data_, size_);
   }
-  if (fd_ >= 0) ::close(fd_);
   if (!path_.empty() && !persist) ::unlink(path_.c_str());
 #endif
   data_ = nullptr;
   size_ = 0;
-  fd_ = -1;
   mapped_ = false;
   lifetime_ = Lifetime::kScratch;
   path_.clear();

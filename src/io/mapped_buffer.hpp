@@ -64,7 +64,7 @@ class MappedBuffer {
   [[nodiscard]] static MappedBuffer open_existing(
       const std::string& path, std::size_t bytes,
       OnFailure on_failure = OnFailure::kEmpty);
-  /// Scratch: unmaps, closes, and removes the backing file (nothing should
+  /// Scratch: unmaps and removes the backing file (nothing should
   /// outlive the buffer). A killed process leaks its file — callers embed a
   /// timestamp in the name (see FrameStore) so a later run never collides
   /// with a leaked one, and sweep stale leaks at the next store creation.
@@ -127,7 +127,6 @@ class MappedBuffer {
 
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
-  int fd_ = -1;
   bool mapped_ = false;
   Lifetime lifetime_ = Lifetime::kScratch;
   std::string path_;

@@ -177,8 +177,21 @@ void PoolExecutor::run(std::size_t task_count, TaskRef task) {
     slot.cv.notify_one();
   }
   job.drain();
+  // Every task is claimed. Take the batch back from the workers that have
+  // not picked it up yet, so a batch the caller drained alone does not
+  // wait for their wake-ups; only the ones already in drain() are awaited.
+  std::size_t retracted = 0;
+  for (std::size_t w = 0; w < engaged; ++w) {
+    TaskPool::Slot& slot = *pool_->slots_[first_ + w];
+    const std::lock_guard<std::mutex> lock(slot.mutex);
+    if (slot.job == &job) {
+      slot.job = nullptr;
+      ++retracted;
+    }
+  }
   {
     std::unique_lock<std::mutex> lock(job.done_mutex);
+    job.pending_workers -= retracted;
     job.done_cv.wait(lock, [&] { return job.pending_workers == 0; });
   }
   if (job.first_error) std::rethrow_exception(job.first_error);

@@ -151,7 +151,9 @@ class PoolExecutor final : public Executor {
 /// destruction wakes and joins them. One pool serves many dispatches back
 /// to back — per-dispatch cost is a wake/notify round-trip per engaged
 /// worker instead of a thread spawn/join (measured in bench_perf_micro's
-/// dispatch section).
+/// dispatch section). Once the caller has claimed the last task, a batch
+/// is taken back from every worker that has not woken for it yet, so the
+/// dispatch waits only for workers still running a task.
 class TaskPool {
  public:
   /// `width` counts the calling thread (width 1 spawns no workers);

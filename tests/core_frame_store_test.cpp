@@ -2,6 +2,10 @@
 // streamed ensemble driver and independently run single-sample trajectories.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <optional>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/frame_store.hpp"
 #include "core/presets.hpp"
@@ -137,6 +141,35 @@ TEST(FrameStore, UnwritableSpillDirFallsBackToHeap) {
   EXPECT_EQ(store.sample(0, 0)[0], (Vec2{1.0, 2.0}));
   // An out-of-range flush is a caller bug, not a silent no-op.
   EXPECT_THROW(store.flush_samples(0, 4), sops::PreconditionError);
+}
+
+TEST(FrameStore, ShareKeepsTheBlockPastTheStore) {
+  // Heap and mapped backings alike: a shared handle reads the very block
+  // the store wrote, and keeps it (and a spill file) after the store is
+  // gone; the spill file goes with the last handle.
+  sops::core::FrameStoreOptions mapped;
+  mapped.mode = sops::core::StorageMode::kMapped;
+  mapped.spill_dir = ::testing::TempDir();
+  for (const sops::core::FrameStoreOptions& options :
+       {sops::core::FrameStoreOptions{}, mapped}) {
+    std::optional<FrameStore> store(std::in_place, 2, 3, 4, options);
+    store->sample_slot(1, 2)[3] = {42.0, -1.0};
+    const std::string spill = store->spill_path();
+    FrameStore handle = store->share();
+    EXPECT_EQ(handle.sample(1, 2).data(), store->sample(1, 2).data());
+    EXPECT_EQ(handle.storage(), store->storage());
+    EXPECT_EQ(handle.bytes(), store->bytes());
+    store->sample_slot(0, 1)[0] = {7.0, 8.0};  // writes after the share show
+    store->flush_samples(0, 3);
+    store.reset();
+    EXPECT_EQ(handle.sample(1, 2)[3], (Vec2{42.0, -1.0}));
+    EXPECT_EQ(handle.sample(0, 1)[0], (Vec2{7.0, 8.0}));
+    if (!spill.empty()) {
+      EXPECT_TRUE(std::filesystem::exists(spill));
+      handle = FrameStore();
+      EXPECT_FALSE(std::filesystem::exists(spill));
+    }
+  }
 }
 
 TEST(StreamedExperiment, StrideBeyondStepsStillRecordsFrames) {

@@ -13,10 +13,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -465,6 +467,131 @@ TEST(CoreJobManager, TerminalEventMayWaitDuringManagerDestruction) {
       << stopped;
 }
 
+// ------------------------------------------------- reading while recording
+
+// A streaming reader of one job, shaped like sopsd's log: each announced
+// sample is queued by index, with a shared handle on the recording taken at
+// the first announcement, and a reader thread encodes each sample as it
+// arrives — off the sample workers, while later samples still record.
+// `cancel_after` > 0 cancels the job once that many samples are encoded.
+class SampleReader {
+ public:
+  SampleReader(JobManager* manager, std::size_t cancel_after)
+      : manager_(manager), cancel_after_(cancel_after) {}
+  ~SampleReader() { stop(); }
+
+  JobOptions options() {
+    JobOptions options;
+    options.analysis = JobAnalysis::kNone;
+    options.events.on_sample_done =
+        [this](const sops::core::JobSampleEvent& event) {
+          {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            if (recording_.frames.empty()) {
+              recording_.frame_steps = event.series->frame_steps;
+              recording_.frames = event.series->frames.share();
+            }
+            announced_.push_back(event.local_sample);
+          }
+          cv_.notify_all();
+        };
+    return options;
+  }
+
+  void start(std::uint64_t id) {
+    thread_ = std::thread([this, id] {
+      for (std::size_t read = 0;; ++read) {
+        std::size_t sample = 0;
+        {
+          std::unique_lock<std::mutex> lock(mutex_);
+          cv_.wait(lock, [&] { return read < announced_.size() || stopped_; });
+          if (read == announced_.size()) return;
+          sample = announced_[read];
+        }
+        live_[sample] = sops::core::sample_recording_csv(recording_, sample);
+        if (live_.size() == cancel_after_) manager_->cancel(id);
+      }
+    });
+  }
+
+  /// Joins the reader once every announced sample is encoded.
+  void stop() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stopped_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// After stop(): what the reader encoded live, by sample.
+  const std::map<std::size_t, std::string>& live() const { return live_; }
+  const EnsembleSeries& recording() const { return recording_; }
+
+ private:
+  JobManager* manager_;
+  std::size_t cancel_after_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<std::size_t> announced_;  // guarded by mutex_
+  EnsembleSeries recording_;  // set once, under mutex_, before announced_
+  bool stopped_ = false;      // guarded by mutex_
+  std::map<std::size_t, std::string> live_;  // reader thread's own
+  std::thread thread_;
+};
+
+TEST(CoreJobManager, SamplesEncodeWhileRecordingAndAfterWait) {
+  const ConfiguredExperiment config = small_job(404, 12, 200);
+  const EnsembleSeries batch = run_experiment(config.experiment);
+
+  JobManager manager(JobLimits{.machine_threads = 4, .job_slots = 1});
+  SampleReader reader(&manager, 0);
+  const std::uint64_t id = manager.submit(config, reader.options());
+  reader.start(id);
+  {
+    const JobOutcome outcome = manager.wait(id);
+    EXPECT_TRUE(stores_bitwise_equal(batch, outcome.series));
+  }  // the job's own series is gone; the reader's handle is not
+  reader.stop();
+
+  ASSERT_EQ(reader.live().size(), batch.sample_count());
+  for (const auto& [sample, csv] : reader.live()) {
+    const std::string expected = sops::core::sample_recording_csv(batch, sample);
+    EXPECT_EQ(csv, expected) << "sample " << sample << " while recording";
+    EXPECT_EQ(sops::core::sample_recording_csv(reader.recording(), sample),
+              expected)
+        << "sample " << sample << " after wait()";
+  }
+}
+
+TEST(CoreJobManager, CancelledJobsAnnouncedSamplesStayReadable) {
+  // Cancelled once two samples are encoded: the run unwinds and drops its
+  // series, and the samples it announced still encode to the batch bytes.
+  const ConfiguredExperiment config = small_job(405, 16, 2000);
+  const EnsembleSeries batch = run_experiment(config.experiment);
+
+  JobManager manager(JobLimits{.machine_threads = 2, .job_slots = 1});
+  SampleReader reader(&manager, 2);
+  const std::uint64_t id = manager.submit(config, reader.options());
+  reader.start(id);
+  try {
+    (void)manager.wait(id);
+  } catch (const CancelledError&) {
+  }
+  reader.stop();
+
+  EXPECT_EQ(manager.status(id).state, JobState::kCancelled);
+  EXPECT_GE(reader.live().size(), 2u);
+  EXPECT_LT(reader.live().size(), batch.sample_count());
+  for (const auto& [sample, csv] : reader.live()) {
+    const std::string expected = sops::core::sample_recording_csv(batch, sample);
+    EXPECT_EQ(csv, expected) << "sample " << sample << " while recording";
+    EXPECT_EQ(sops::core::sample_recording_csv(reader.recording(), sample),
+              expected)
+        << "sample " << sample << " after the job ended";
+  }
+}
+
 // --------------------------------------------------------- serialization
 
 TEST(CoreJobSerialization, SampleCsvIsTheExactRecordedGrid) {
@@ -482,6 +609,88 @@ TEST(CoreJobSerialization, SampleCsvIsTheExactRecordedGrid) {
                 std::size_t{0}, series.frame_steps[0], std::size_t{0},
                 positions[0].x, positions[0].y);
   EXPECT_NE(csv.find(expected), std::string::npos);
+}
+
+// The encoder as it stood before std::to_chars, frozen: every sample CSV
+// ever streamed or saved was written with these bytes.
+std::string snprintf_sample_csv(const EnsembleSeries& series,
+                                std::size_t local_sample) {
+  std::string out = "frame,step,particle,x,y\n";
+  char row[128];
+  for (std::size_t f = 0; f < series.frame_count(); ++f) {
+    const auto positions = series.frames.sample(f, local_sample);
+    for (std::size_t p = 0; p < positions.size(); ++p) {
+      std::snprintf(row, sizeof row, "%zu,%zu,%zu,%.17g,%.17g\n", f,
+                    series.frame_steps[f], p, positions[p].x, positions[p].y);
+      out += row;
+    }
+  }
+  return out;
+}
+
+TEST(CoreJobSerialization, SampleCsvMatchesFrozenSnprintfEncoder) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values{
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e-4, 1e-5,
+      9.9999999999999995e-5, 123456.789, 1e15, 1e16, -1e16,
+      std::nextafter(1e16, 0.0), std::nextafter(1e16, 1e17), 1e17, -1e17,
+      std::nextafter(1e17, 0.0), std::nextafter(1e17, 1e18),
+      9007199254740993.0, 12345678901234567.0, 1e300, 1e-300,
+      Limits::denorm_min(), -Limits::denorm_min(), Limits::min(),
+      std::nextafter(Limits::min(), 0.0), Limits::max(), -Limits::max(),
+      Limits::epsilon(), Limits::infinity(), -Limits::infinity(),
+      Limits::quiet_NaN(), -Limits::quiet_NaN(), Limits::signaling_NaN()};
+  // Random bit patterns: every exponent, both signs, NaN payloads.
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 20000; ++i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    double value = 0.0;
+    std::memcpy(&value, &state, sizeof value);
+    values.push_back(value);
+  }
+  // Positions of the magnitude recordings hold.
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(60.0 * (static_cast<double>(i) / 2000.0) - 30.0 +
+                     1e-9 * static_cast<double>(i % 7));
+  }
+
+  constexpr std::size_t kFrames = 3;
+  constexpr std::size_t kSamples = 2;
+  const std::size_t particles = (values.size() + 1) / 2;
+  EnsembleSeries series;
+  series.types.assign(particles, 0);
+  series.frame_steps = {0, 7, std::numeric_limits<std::size_t>::max()};
+  series.frames = sops::core::FrameStore(kFrames, kSamples, particles);
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    for (std::size_t s = 0; s < kSamples; ++s) {
+      const auto slot = series.frames.sample_slot(f, s);
+      for (std::size_t p = 0; p < particles; ++p) {
+        // Rotate the values through frames and samples, so each lands in
+        // both columns.
+        const std::size_t k = (2 * p + f + 3 * s) % values.size();
+        slot[p] = {values[k], values[(k + 1) % values.size()]};
+      }
+    }
+  }
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    const std::string encoded = sops::core::sample_recording_csv(series, s);
+    const std::string frozen = snprintf_sample_csv(series, s);
+    // Byte equality, reported by its first differing line (the texts run
+    // to megabytes).
+    const auto [lhs, rhs] = std::mismatch(encoded.begin(), encoded.end(),
+                                          frozen.begin(), frozen.end());
+    const auto line_of = [](const std::string& text, auto at) {
+      const std::size_t pos = static_cast<std::size_t>(at - text.begin());
+      const std::size_t begin = text.rfind('\n', pos == 0 ? 0 : pos - 1);
+      const std::size_t from = begin == std::string::npos ? 0 : begin + 1;
+      return text.substr(from, text.find('\n', pos) - from);
+    };
+    EXPECT_TRUE(encoded == frozen)
+        << "sample " << s << ": to_chars wrote '" << line_of(encoded, lhs)
+        << "', snprintf wrote '" << line_of(frozen, rhs) << "'";
+  }
 }
 
 TEST(CoreJobSerialization, StatusJsonEscapesAndRoundsTrip) {

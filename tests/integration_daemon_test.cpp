@@ -2,9 +2,10 @@
 // real wire protocol, and hold it to the layer's core promise — a job
 // streamed out of the daemon is byte-identical to the same config run in
 // batch, a cancelled neighbor job doesn't perturb it, a late watcher
-// replays the identical frame sequence, the daemon's memory stays flat
-// across many jobs, malformed numeric flags are refused with exit 2, and
-// the client turns a malformed sample frame into a named error.
+// replays the identical frame sequence (of a cancelled job too), the
+// daemon's memory stays flat across many jobs and holds no sample CSV,
+// malformed numeric flags are refused with exit 2, and the client turns a
+// malformed sample frame into a named error.
 //
 // The `integration_` prefix keeps this out of the CI TSan regex: the test
 // forks+execs a child process, which TSan interceptors do not survive.
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -38,6 +40,18 @@
 #include "support/error.hpp"
 
 namespace {
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAddressSanitizer = true;
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
 
 using sops::io::Frame;
 using sops::io::FrameType;
@@ -127,10 +141,12 @@ std::uint64_t parse_submitted_id(const Frame& reply) {
   return std::stoull(reply.payload);
 }
 
-// Watches a job to its job_done frame and returns every frame in order;
-// the server must close the connection right after job_done.
-std::vector<Frame> watch_frames(const std::string& socket_path,
-                                std::uint64_t id) {
+// Watches a job to its job_done frame and returns every frame in order,
+// calling `on_frame` on each as it arrives; the server must close the
+// connection right after job_done.
+std::vector<Frame> watch_frames(
+    const std::string& socket_path, std::uint64_t id,
+    const std::function<void(const Frame&)>& on_frame = {}) {
   std::vector<Frame> frames;
   const int fd = sops::io::connect_unix(socket_path);
   sops::io::write_frame(fd, FrameType::kWatch, std::to_string(id));
@@ -140,6 +156,7 @@ std::vector<Frame> watch_frames(const std::string& socket_path,
       ADD_FAILURE() << "watch stream ended before job_done";
       break;
     }
+    if (on_frame) on_frame(*frame);
     frames.push_back(std::move(*frame));
     if (frames.back().type == FrameType::kJobDone) {
       EXPECT_FALSE(sops::io::read_frame(fd).has_value())
@@ -149,6 +166,18 @@ std::vector<Frame> watch_frames(const std::string& socket_path,
   }
   ::close(fd);
   return frames;
+}
+
+// The sample index in a sample_csv frame's "job=N sample=K ..." header.
+std::size_t sample_index(const Frame& frame) {
+  const std::size_t pos = frame.payload.find("sample=");
+  if (pos == std::string::npos) throw sops::Error("no sample= in header");
+  return std::stoul(frame.payload.substr(pos + 7));
+}
+
+// The CSV part of a sample_csv frame (what follows the header line).
+std::string sample_csv_of(const Frame& frame) {
+  return frame.payload.substr(frame.payload.find('\n') + 1);
 }
 
 TEST(IntegrationDaemon, StreamedJobMatchesBatchWhileNeighborIsCancelled) {
@@ -267,6 +296,72 @@ TEST(IntegrationDaemon, StreamedJobMatchesBatchWhileNeighborIsCancelled) {
   std::filesystem::remove_all(spill_dir);
 }
 
+// A job cancelled mid-run, after some samples streamed: its recording
+// goes with the run, but the daemon keeps the samples it announced, so a
+// watcher attaching after the cancel replays the live stream byte for
+// byte, and those samples are still the batch bytes.
+TEST(IntegrationDaemon, LateWatcherReplaysCancelledJob) {
+  const std::string socket_path = temp_path("sopsd_cancel.sock");
+  const std::string spill_dir = temp_path("sopsd_cancel_spill");
+  const pid_t daemon = start_daemon(socket_path, spill_dir,
+                                    {"--threads", "2", "--slots", "1"});
+  ASSERT_GT(daemon, 0) << "sopsd did not come up";
+
+  // Many short samples: some finish well before the run would.
+  const std::string config =
+      "preset = fig4\nsteps = 600\nstride = 300\nsamples = 64\nseed = 11\n";
+  const std::uint64_t id =
+      parse_submitted_id(exchange(socket_path, FrameType::kSubmit, config));
+  std::size_t samples_seen = 0;
+  const std::vector<Frame> live =
+      watch_frames(socket_path, id, [&](const Frame& frame) {
+        if (frame.type == FrameType::kSampleCsv && ++samples_seen == 2) {
+          const Frame reply =
+              exchange(socket_path, FrameType::kCancel, std::to_string(id));
+          EXPECT_EQ(reply.type, FrameType::kStatusReport) << reply.payload;
+        }
+      });
+  ASSERT_FALSE(live.empty());
+  EXPECT_NE(live.back().payload.find("\"state\":\"cancelled\""),
+            std::string::npos)
+      << live.back().payload;
+
+  std::map<std::size_t, std::string> streamed;  // sample index → CSV
+  for (const Frame& frame : live) {
+    if (frame.type == FrameType::kSampleCsv) {
+      streamed[sample_index(frame)] = sample_csv_of(frame);
+    }
+  }
+  ASSERT_GE(streamed.size(), 2u);
+  EXPECT_LT(streamed.size(), 64u) << "the cancel landed after the last sample";
+
+  const std::vector<Frame> replay = watch_frames(socket_path, id);
+  ASSERT_EQ(replay.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(replay[i].type, live[i].type) << "frame " << i;
+    EXPECT_EQ(replay[i].payload, live[i].payload) << "frame " << i;
+  }
+
+  // A sample's trajectory depends only on its index, so a batch run of
+  // the first max_index + 1 samples reproduces every streamed one.
+  sops::core::ConfiguredExperiment configured =
+      sops::core::build_experiment(sops::io::Config::parse(config));
+  configured.experiment.samples = streamed.rbegin()->first + 1;
+  const sops::core::EnsembleSeries reference =
+      sops::core::run_experiment(configured.experiment);
+  for (const auto& [sample, csv] : streamed) {
+    EXPECT_EQ(csv, sops::core::sample_recording_csv(reference, sample))
+        << "streamed sample " << sample << " differs from batch bytes";
+  }
+
+  ASSERT_EQ(::kill(daemon, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(daemon, &status, 0), daemon);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::filesystem::remove_all(spill_dir);
+}
+
 // Waits up to `seconds` for the child to exit; SIGKILLs it past that.
 // Returns the waitpid status, or -1 if it had to be killed.
 int wait_exit(pid_t pid, int seconds) {
@@ -346,10 +441,13 @@ std::size_t count_lines(const std::string& path) {
   return lines;
 }
 
-std::size_t vm_size_kb(pid_t pid) {
+// One "<field>: <n> kB" line of /proc/<pid>/status, in kB (0 if absent).
+std::size_t status_kb(pid_t pid, const std::string& field) {
   std::ifstream in("/proc/" + std::to_string(pid) + "/status");
   for (std::string line; std::getline(in, line);) {
-    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoul(line.substr(field.size() + 1));
+    }
   }
   return 0;
 }
@@ -358,6 +456,12 @@ std::size_t vm_size_kb(pid_t pid) {
 // (malloc arenas, the stack cache and the pool settle), 30 more submit +
 // watch jobs may not grow the daemon's mappings or address space. A
 // leaked joinable thread costs ~2 mappings and 8 MiB of stack apiece.
+// What the daemon keeps of a job's samples is its binary recording, not
+// the CSV it streamed (~3x larger), so its resident set grows by less than
+// half the sample CSV bytes those jobs streamed. Every served job also
+// keeps its job-table entry and state-event frames (~5 KB for these jobs;
+// evicting terminal jobs is a separate item), which a fixed allowance per
+// job covers. A daemon that kept each sample's CSV grew by ~1.1x it.
 TEST(IntegrationDaemon, MemoryStaysFlatAcrossManyJobs) {
   const std::string socket_path = temp_path("sopsd_flat.sock");
   const std::string spill_dir = temp_path("sopsd_flat_spill");
@@ -371,6 +475,7 @@ TEST(IntegrationDaemon, MemoryStaysFlatAcrossManyJobs) {
     GTEST_SKIP() << "no readable " << maps;
   }
 
+  std::size_t sample_csv_bytes = 0;
   const auto run_jobs = [&](std::size_t count) {
     for (std::size_t j = 0; j < count; ++j) {
       const std::uint64_t id = parse_submitted_id(
@@ -380,15 +485,23 @@ TEST(IntegrationDaemon, MemoryStaysFlatAcrossManyJobs) {
       EXPECT_NE(frames.back().payload.find("\"state\":\"done\""),
                 std::string::npos)
           << frames.back().payload;
+      for (const Frame& frame : frames) {
+        if (frame.type == FrameType::kSampleCsv) {
+          sample_csv_bytes += frame.payload.size();
+        }
+      }
     }
   };
   run_jobs(20);
   const std::size_t maps_before = count_lines(maps);
-  const std::size_t vm_before_kb = vm_size_kb(daemon);
+  const std::size_t vm_before_kb = status_kb(daemon, "VmSize");
+  const std::size_t rss_before_kb = status_kb(daemon, "VmRSS");
+  sample_csv_bytes = 0;
   constexpr std::size_t kJobs = 30;
   run_jobs(kJobs);
   const std::size_t maps_after = count_lines(maps);
-  const std::size_t vm_after_kb = vm_size_kb(daemon);
+  const std::size_t vm_after_kb = status_kb(daemon, "VmSize");
+  const std::size_t rss_after_kb = status_kb(daemon, "VmRSS");
 
   EXPECT_LT(maps_after, maps_before + kJobs)
       << "mappings grew from " << maps_before << " to " << maps_after
@@ -396,6 +509,19 @@ TEST(IntegrationDaemon, MemoryStaysFlatAcrossManyJobs) {
   EXPECT_LT(vm_after_kb, vm_before_kb + 256 * 1024)
       << "VmSize grew from " << vm_before_kb << " kB to " << vm_after_kb
       << " kB over " << kJobs << " jobs";
+  ASSERT_GT(rss_before_kb, 0u);
+  const std::size_t rss_growth_bytes =
+      rss_after_kb > rss_before_kb ? (rss_after_kb - rss_before_kb) * 1024 : 0;
+  constexpr std::size_t kJobEntryBytes = 6 << 10;
+  // AddressSanitizer keeps freed blocks resident in its quarantine (tens
+  // of MB over these jobs), so there the resident set does not show what
+  // the daemon keeps.
+  if (!kAddressSanitizer) {
+    EXPECT_LT(rss_growth_bytes, sample_csv_bytes / 2 + kJobs * kJobEntryBytes)
+        << "VmRSS grew from " << rss_before_kb << " kB to " << rss_after_kb
+        << " kB over " << kJobs << " jobs that streamed " << sample_csv_bytes
+        << " bytes of sample CSV";
+  }
 
   ASSERT_EQ(::kill(daemon, SIGTERM), 0);
   const int status = wait_exit(daemon, 120);

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "io/ascii_chart.hpp"
@@ -221,6 +223,49 @@ TEST(MappedBuffer, MapsWritesFlushesAndCleansUp) {
   }
   // Scratch semantics: the backing file is unlinked with the buffer.
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+// Open descriptors of this process; 0 where /proc/self/fd is unreadable.
+std::size_t open_descriptors() {
+  std::error_code error;
+  std::size_t count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/fd", error), end;
+       !error && it != end; it.increment(error)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(MappedBuffer, HoldsNoDescriptorOnceMapped) {
+  // A retained recording (sopsd keeps one per served job) must not pin a
+  // descriptor each: the mapping alone keeps the file.
+  using sops::io::MappedBuffer;
+  const std::size_t before = open_descriptors();
+  if (before == 0) GTEST_SKIP() << "no readable /proc/self/fd";
+  const std::string scratch = ::testing::TempDir() + "sops_mapped_fd_scratch";
+  const std::string persist = ::testing::TempDir() + "sops_mapped_fd_persist";
+  std::filesystem::remove(scratch);
+  std::filesystem::remove(persist);
+  {
+    MappedBuffer created(scratch, 4096);
+    if (!created.mapped()) {
+      GTEST_SKIP() << "mmap unavailable: " << created.fallback_reason();
+    }
+    {
+      const MappedBuffer kept(persist, 4096, MappedBuffer::OnFailure::kEmpty,
+                              MappedBuffer::Lifetime::kPersist);
+    }
+    MappedBuffer reopened = MappedBuffer::open_existing(persist, 4096);
+    ASSERT_TRUE(reopened.mapped()) << reopened.fallback_reason();
+    EXPECT_EQ(open_descriptors(), before);
+    static_cast<unsigned char*>(created.data())[0] = 1;
+    static_cast<unsigned char*>(reopened.data())[0] = 2;
+    EXPECT_TRUE(created.sync(0, 4096));
+    EXPECT_TRUE(reopened.sync(0, 4096));
+  }
+  EXPECT_FALSE(std::filesystem::exists(scratch));
+  EXPECT_EQ(std::filesystem::file_size(persist), 4096u);
+  std::filesystem::remove(persist);
 }
 
 TEST(MappedBuffer, FallsBackToHeapOnUnwritablePath) {

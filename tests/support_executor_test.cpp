@@ -3,12 +3,14 @@
 // disjoint-lending pattern the engine's sample × step nesting relies on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,59 @@ TEST(TaskPoolTest, PoolStaysUsableAfterAnException) {
   auto counting = [&](std::size_t) { count.fetch_add(1); };
   pool.executor().run(6, counting);
   EXPECT_EQ(count.load(), 6);
+}
+
+TEST(TaskPoolTest, BatchesTheCallerDrainsAloneAreTakenBack) {
+  // Tiny batches on an idle pool: the caller usually claims every task
+  // before a worker has woken, and the batch is then taken back from the
+  // workers still asleep. Whoever ends up running them, every task runs
+  // exactly once, a throwing round still propagates its first error, and a
+  // worker released this way serves the next batch.
+  TaskPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t caller_only_rounds = 0;
+  for (std::size_t round = 0; round < 2000; ++round) {
+    std::array<std::atomic<int>, 4> visits{};
+    std::atomic<bool> helped{false};
+    const bool throwing = round % 7 == 3;
+    auto task = [&](std::size_t k) {
+      visits[k].fetch_add(1);
+      if (std::this_thread::get_id() != caller) helped.store(true);
+      if (throwing && k % 2 == round % 2) {
+        throw std::runtime_error("task " + std::to_string(k));
+      }
+    };
+    if (throwing) {
+      try {
+        pool.executor().run(visits.size(), task);
+        ADD_FAILURE() << "round " << round << " did not throw";
+      } catch (const std::runtime_error& error) {
+        const std::string what = error.what();
+        EXPECT_TRUE(what == "task " + std::to_string(round % 2) ||
+                    what == "task " + std::to_string(round % 2 + 2))
+            << what;
+      }
+    } else {
+      pool.executor().run(visits.size(), task);
+    }
+    for (std::size_t k = 0; k < visits.size(); ++k) {
+      ASSERT_EQ(visits[k].load(), 1) << "round " << round << " task " << k;
+    }
+    if (!helped.load()) ++caller_only_rounds;
+  }
+  EXPECT_GT(caller_only_rounds, 0u);
+
+  // The released workers still serve: a batch whose tasks each wait until
+  // all four have started completes only with every worker running one.
+  std::atomic<int> started{0};
+  std::array<std::atomic<int>, 4> visits{};
+  auto rendezvous = [&](std::size_t k) {
+    visits[k].fetch_add(1);
+    started.fetch_add(1);
+    while (started.load() < 4) std::this_thread::yield();
+  };
+  pool.executor().run(visits.size(), rendezvous);
+  for (const std::atomic<int>& visit : visits) EXPECT_EQ(visit.load(), 1);
 }
 
 TEST(TaskPoolTest, MoreTasksThanWorkersDrainsThroughTheCap) {

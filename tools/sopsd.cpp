@@ -7,6 +7,10 @@
 //   sopsd [--socket <path>] [--slots N] [--threads N] [--mem-mb N]
 //         [--spill-dir <dir>]
 //
+// --mem-mb caps the resident recordings of running jobs (admission
+// control, core::JobLimits::memory_budget_bytes); without it the budget
+// is unlimited.
+//
 // Clients (`sops_run submit/status/cancel/watch`) submit the same key=value
 // config text the batch CLI reads; jobs run with a streaming analyzer
 // attached and every finished sample is pushed to watchers as the exact CSV
@@ -17,8 +21,11 @@
 // Each job has one append-only frame log — state events, sample frames, the
 // analysis curve, then job_done, in emission order — and a watcher reads it
 // by cursor from the start, so a late watcher gets the same bytes in the
-// same order as a live one. The job's terminal state callback pushes its
-// curve and job_done; each connection runs on a detached, counted thread.
+// same order as a live one. A sample frame is kept as a reference into the
+// job's binary recording, which the log holds on to past the job's end
+// (done, failed or cancelled), and is encoded to CSV as it is read. The
+// job's terminal state callback pushes its curve and job_done; each
+// connection runs on a detached, counted thread.
 //
 // SIGINT/SIGTERM raise the manager's shutdown token (async-signal-safe) and
 // poke a self-pipe to wake the accept loop; every job drains at its next
@@ -83,34 +90,86 @@ void install_signal_handlers() {
 /// Per-job append-only frame logs. Everything a job emits is appended to
 /// its log exactly once; a watcher — live or attached late — holds only a
 /// cursor into the log and reads it frame by frame, so replay and live
-/// delivery are the same loop and a watcher costs O(1) daemon memory.
-/// std::deque::push_back never moves existing elements, so a frame looked
-/// up under the lock stays valid while it is written out unlocked.
+/// delivery are the same loop. A sample frame is logged as a reference —
+/// its header line and sample index — into the job's recording, which the
+/// log keeps a shared handle on, and its CSV is encoded when a watcher
+/// reads it. So a served job costs its binary recording plus O(m) header
+/// bytes, whatever becomes of the job's own series, and a watcher costs
+/// one sample's CSV. std::deque::push_back never moves existing elements,
+/// so an entry looked up under the lock stays valid while it is encoded
+/// and written out unlocked.
 class Broadcast {
  public:
   void push(std::uint64_t job, io::FrameType type, std::string payload) {
+    append(job, {type, std::move(payload), 0}, nullptr);
+  }
+
+  /// Logs sample `event.local_sample` by reference. The first sample of a
+  /// job takes the log's handle on its recording.
+  void push_sample(const core::JobSampleEvent& event) {
+    std::string header = "job=" + std::to_string(event.job) +
+                         " sample=" + std::to_string(event.local_sample) +
+                         " done=" + std::to_string(event.samples_done) +
+                         " total=" + std::to_string(event.samples_total) +
+                         "\n";
+    append(event.job,
+           {io::FrameType::kSampleCsv, std::move(header), event.local_sample},
+           event.series);
+  }
+
+  /// Writes frame `index` of the job's log to `fd`, blocking until it has
+  /// been pushed; returns its type. A sample frame is encoded into
+  /// `buffer`, which one watcher reuses for all of its frames.
+  io::FrameType write(std::uint64_t job, std::size_t index, int fd,
+                      std::string& buffer) {
+    Log* log = nullptr;
+    const Entry* entry = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      log = &logs_[job];
+      log->appended.wait(lock, [&] { return index < log->entries.size(); });
+      entry = &log->entries[index];
+    }
+    if (entry->type != io::FrameType::kSampleCsv) {
+      io::write_frame(fd, entry->type, entry->payload);
+    } else {
+      // The recording was set before this entry was appended and never
+      // changes after, so it is read unlocked like the entry.
+      buffer = entry->payload;
+      core::append_sample_recording_csv(buffer, log->recording, entry->sample);
+      io::write_frame(fd, entry->type, buffer);
+    }
+    return entry->type;
+  }
+
+ private:
+  struct Entry {
+    io::FrameType type;
+    std::string payload;     // a sample frame's header line only
+    std::size_t sample = 0;  // kSampleCsv: local sample in `recording`
+  };
+  struct Log {
+    std::deque<Entry> entries;
+    // frame_steps and a shared handle on the frames: all the CSV reads.
+    core::EnsembleSeries recording;
+    std::condition_variable appended;
+  };
+
+  void append(std::uint64_t job, Entry entry,
+              const core::EnsembleSeries* series) {
     Log* log = nullptr;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       log = &logs_[job];
-      log->frames.push_back({type, std::move(payload)});
+      if (series != nullptr && log->recording.frames.empty()) {
+        log->recording.frame_steps = series->frame_steps;
+        log->recording.frames = series->frames.share();
+      }
+      log->entries.push_back(std::move(entry));
     }
     log->appended.notify_all();
   }
 
-  /// Frame `index` of the job's log, blocking until it has been pushed.
-  const io::Frame& at(std::uint64_t job, std::size_t index) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    Log& log = logs_[job];
-    log.appended.wait(lock, [&] { return index < log.frames.size(); });
-    return log.frames[index];
-  }
-
- private:
-  struct Log {
-    std::deque<io::Frame> frames;
-    std::condition_variable appended;
-  };
   std::mutex mutex_;
   std::map<std::uint64_t, Log> logs_;  // nodes never move or go away
 };
@@ -173,12 +232,7 @@ class Daemon {
           }
         };
     job_options.events.on_sample_done = [this](const core::JobSampleEvent& e) {
-      std::string payload = "job=" + std::to_string(e.job) +
-                            " sample=" + std::to_string(e.local_sample) +
-                            " done=" + std::to_string(e.samples_done) +
-                            " total=" + std::to_string(e.samples_total) + "\n";
-      payload += core::sample_recording_csv(*e.series, e.local_sample);
-      broadcast_.push(e.job, io::FrameType::kSampleCsv, std::move(payload));
+      broadcast_.push_sample(e);
     };
     return manager_.submit(std::move(configured), job_options);
   }
@@ -238,7 +292,8 @@ class Daemon {
   /// Terminal state hook — the only writer of a job's job_done frame. The
   /// job is already terminal, so wait() returns at once: the outcome, whose
   /// analysis curve goes out first, or the job's error, whose detail rides
-  /// in the terminal status.
+  /// in the terminal status. The outcome's series is dropped here; the
+  /// log's shared handle keeps the streamed samples readable.
   void finish_job(const core::JobStatus& status, bool with_entropies) {
     try {
       const core::JobOutcome outcome = manager_.wait(status.id);
@@ -321,10 +376,12 @@ class Daemon {
   /// one loop — until its job_done frame.
   void watch(int client, std::uint64_t id) {
     (void)manager_.status(id);  // throws on an unknown id
+    std::string buffer;
     for (std::size_t cursor = 0;; ++cursor) {
-      const io::Frame& frame = broadcast_.at(id, cursor);
-      io::write_frame(client, frame.type, frame.payload);
-      if (frame.type == io::FrameType::kJobDone) return;
+      if (broadcast_.write(id, cursor, client, buffer) ==
+          io::FrameType::kJobDone) {
+        return;
+      }
     }
   }
 
@@ -354,7 +411,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; i += 2) {
     if (i + 1 == argc || !apply_flag(argv[i], argv[i + 1], &options)) {
       std::cerr << "usage: sopsd [--socket <path>] [--slots N] [--threads N] "
-                   "[--mem-mb N] [--spill-dir <dir>]\n";
+                   "[--mem-mb N] [--spill-dir <dir>]\n"
+                   "  --mem-mb N  cap running jobs' resident recordings at "
+                   "N MiB (default: unlimited)\n";
       return 2;
     }
   }
